@@ -53,8 +53,11 @@ class EngineRunError(RuntimeError):
 @functools.lru_cache(maxsize=64)
 def _build(app_name: str, nthreads: int, code_model: str, scale: str,
            lint: bool = False):
-    """Build (and lower) one application — cached per process, so level
-    sweeps inside a worker reuse the expensive program construction.
+    """Build (and lower) one application — cached per process and per
+    total thread count, so each multithreading level of a sweep builds
+    its own program.  The levels' programs lower to the same code, and
+    the compiled backend shares its blocks by program content
+    (:func:`repro.jit.compiled_for`), so later levels reuse them.
     With ``lint=True`` the lowered code is statically verified
     (:mod:`repro.lint`) and a :class:`repro.lint.LintError` aborts the
     build."""
@@ -357,11 +360,13 @@ class Engine:
         every distinct program this engine resolved, keyed by spec
         label.  Memoised per (app, model, shape); a program the
         predictor cannot analyse is skipped — prediction must never
-        fail a sweep."""
+        fail a sweep.  The loop runs over a snapshot: a ``/healthz``
+        request calls this while the serve scheduler thread records new
+        keys."""
         from repro.lint import predict_spec_cached
 
         out: Dict[str, Dict] = {}
-        for key, label in self._predict_keys.items():
+        for key, label in list(self._predict_keys.items()):
             try:
                 prediction = predict_spec_cached(*key)
             except Exception:  # noqa: BLE001 - advisory output only

@@ -7,9 +7,11 @@ Two ways to run the same machine:
   cycle; the reference semantics.
 * ``compiled`` — :class:`~repro.jit.driver.CompiledProcessor` dispatching
   per-block Python functions generated by :mod:`repro.jit.codegen`.
-  Pays a small lazy compile cost per reached block, then executes with
-  operands and model decisions pre-resolved.  Bit-identical SimStats by
-  contract (pinned by ``tests/test_jit_equivalence.py``).
+  Compiles each reached block on first dispatch, once per process for
+  every distinct program content, then executes with operands and model
+  decisions pre-resolved.  Compiling costs far more than executing a
+  block does, so on short runs it is most of the time.  Bit-identical
+  SimStats by contract (pinned by ``tests/test_jit_equivalence.py``).
 * ``auto`` — resolves to ``compiled`` (every model/feature is supported;
   the alias exists so callers can opt into "fastest available" without
   naming it).

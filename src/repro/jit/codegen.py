@@ -47,8 +47,9 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from heapq import heappush
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.isa.instruction import Instruction, instr_reads, instr_writes
 from repro.isa.opcodes import Op
@@ -129,7 +130,8 @@ _PREAMBLE = (
 
 
 class CompiledProgram:
-    """Lazily compiled block functions for one (program, variant) pair.
+    """Lazily compiled block functions for one (program content, variant)
+    pair.
 
     The variant key is everything the generated code folds in at compile
     time: the machine model code, whether a tracer is attached, whether
@@ -142,12 +144,15 @@ class CompiledProgram:
     compiled variant serves every latency / cost configuration.
     """
 
-    __slots__ = ("program", "code", "model", "traced", "oracle_on", "cached",
+    __slots__ = ("name", "code", "model", "traced", "oracle_on", "cached",
                  "faulted", "funcs", "compiled_blocks", "compile_seconds")
 
     def __init__(self, program, model: int, traced: bool, oracle_on: bool,
                  cached: bool, faulted: bool):
-        self.program = program
+        # Only the name and the instruction list are kept, not the
+        # Program: the variant is shared by every program with the same
+        # content, and a back-reference would keep its first owner alive.
+        self.name = program.name
         self.code = program.instructions
         self.model = model
         self.traced = traced
@@ -178,20 +183,51 @@ class CompiledProgram:
         return _Emitter(self, pc).emit()
 
 
+class _Variants(dict):
+    """Variant key -> :class:`CompiledProgram` for one program content (a
+    ``dict`` subclass because plain dicts cannot be weakly referenced)."""
+
+    __slots__ = ("__weakref__",)
+
+
+#: Program content -> its variant table, shared by every live program
+#: with that content.  The values are weak: each program holds its table
+#: as ``_jit_variants``, so an entry lasts exactly as long as some
+#: program with that content does.
+_TABLES = weakref.WeakValueDictionary()
+
+
+def _variants_for(program) -> _Variants:
+    """The variant table shared by every program with *program*'s content.
+
+    The content key is every instruction field the emitter reads, with
+    ``repr(imm)`` so that ``1`` and ``1.0`` (or ``0.0`` and ``-0.0``),
+    which compare equal but store different values, stay apart.  It is
+    computed once per program, which then keeps the table it resolved.
+    """
+    variants = getattr(program, "_jit_variants", None)
+    if variants is None:
+        key = tuple(
+            (int(ins.op), ins.rd, ins.rs1, ins.rs2, repr(ins.imm), ins.target,
+             ins.sync, ins.cost)
+            for ins in program.instructions
+        )
+        variants = _TABLES.setdefault(key, _Variants())
+        program._jit_variants = variants
+    return variants
+
+
 def compiled_for(program, model: int, traced: bool, oracle_on: bool,
                  cached: bool, faulted: bool = False) -> CompiledProgram:
     """The (cached) :class:`CompiledProgram` for one program variant.
 
-    Compiled blocks are attached to the :class:`~repro.isa.program.
-    Program` object itself, so the per-process program cache
-    (:func:`repro.engine.executor._build`) automatically shares compiled
-    code across simulations of the same lowered program.
+    Compiled blocks are shared by content, not by object: the engine's
+    program cache (:func:`repro.engine.executor._build`) builds a new
+    :class:`~repro.isa.program.Program` for every thread count, and all
+    of a level sweep's programs lower to the same code, so they resolve
+    to one table and each block is compiled once per process.
     """
-    variants: Dict[Tuple, CompiledProgram]
-    variants = getattr(program, "_jit_variants", None)
-    if variants is None:
-        variants = {}
-        program._jit_variants = variants
+    variants = _variants_for(program)
     key = (model, traced, oracle_on, cached, faulted)
     compiled = variants.get(key)
     if compiled is None:
@@ -202,28 +238,37 @@ def compiled_for(program, model: int, traced: bool, oracle_on: bool,
 
 
 def compile_seconds_for(program) -> float:
-    """Total codegen wall-clock seconds accumulated on *program* across
-    every compiled variant in this process.  Sampling it before and
-    after a run attributes that run's compile cost (the delta) — the
-    ``jit-compile`` span in :mod:`repro.obs.spans`."""
-    variants = getattr(program, "_jit_variants", None)
-    if not variants:
-        return 0.0
-    return sum(cp.compile_seconds for cp in variants.values())
+    """Total codegen wall-clock seconds accumulated on *program*'s
+    content across every compiled variant in this process.  Sampling it
+    before and after a run attributes that run's compile cost (the
+    delta) — the ``jit-compile`` span in :mod:`repro.obs.spans`.  The
+    first sample resolves the shared table, so the delta never includes
+    what other programs with the same content compiled earlier."""
+    return sum(cp.compile_seconds for cp in _variants_for(program).values())
 
 
 def _compile_entry(cp: CompiledProgram, entry: int):
     source = _Emitter(cp, entry).emit()
-    name = getattr(cp.program, "name", "program")
     namespace = {"math": math, "ExecutionError": ExecutionError, "OPS": _OPS,
                  "heappush": heappush}
-    exec(compile(source, f"<jit:{name}@{entry}>", "exec"), namespace)
-    return namespace["_block"]
+    exec(compile(source, f"<jit:{cp.name}@{entry}>", "exec"), namespace)
+    # Popped, so the function and its globals form no reference cycle and
+    # a block is freed with the last program that holds its table.
+    return namespace.pop("_block")
+
+
+def _literal(value) -> str:
+    """Source text that evaluates to the immediate *value*.  ``repr`` is
+    a literal for every int and finite float, but not for ``inf``,
+    ``-inf`` or ``nan``."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"float('{value!r}')"
+    return repr(value)
 
 
 def _addr_expr(ins: Instruction) -> str:
     if ins.imm:
-        return f"regs[{ins.rs1}] + {ins.imm!r}"
+        return f"regs[{ins.rs1}] + {_literal(ins.imm)}"
     return f"regs[{ins.rs1}]"
 
 
@@ -232,7 +277,7 @@ def _int_expr(ins: Instruction) -> Optional[str]:
     op = ins.op
     r1 = f"regs[{ins.rs1}]"
     r2 = f"regs[{ins.rs2}]"
-    imm = repr(ins.imm)
+    imm = _literal(ins.imm)
     if op is Op.ADDI:
         return f"{r1} + {imm}"
     if op is Op.ADD:
@@ -298,7 +343,7 @@ def _fp_expr(ins: Instruction) -> Optional[str]:
     if op is Op.FMOV:
         return r1
     if op is Op.FLI:
-        return repr(ins.imm)
+        return _literal(ins.imm)
     if op is Op.FSLT:
         return f"1 if {r1} < {r2} else 0"
     if op is Op.FSLE:

@@ -125,7 +125,8 @@ def _const_transfer(state: Dict[int, int], ins: Instruction) -> None:
                 else lhs * rhs
             )
     if value is not None and abs(value) <= _CONST_LIMIT:
-        state[ins.rd] = value
+        if ins.rd:  # the machine discards writes to r0
+            state[ins.rd] = value
         return
     for slot in instr_writes(ins):
         state.pop(slot, None)

@@ -20,6 +20,7 @@ def run_asm(
     local_size: int = 64,
     regs: Optional[Sequence[Dict[int, object]]] = None,
     tracer=None,
+    backend: Optional[str] = None,
     **config_extra,
 ) -> SimulationResult:
     """Assemble and simulate a snippet; returns the SimulationResult."""
@@ -34,6 +35,7 @@ def run_asm(
         local_size=local_size,
         regs=regs,
         tracer=tracer,
+        backend=backend,
         **config_extra,
     )
 
@@ -48,6 +50,7 @@ def run_program(
     local_size: int = 64,
     regs: Optional[Sequence[Dict[int, object]]] = None,
     tracer=None,
+    backend: Optional[str] = None,
     **config_extra,
 ) -> SimulationResult:
     if model is SwitchModel.IDEAL:
@@ -72,6 +75,7 @@ def run_program(
         thread_regs,
         local_size=local_size,
         tracer=tracer,
+        backend=backend,
     )
     return sim.run()
 

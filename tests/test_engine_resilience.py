@@ -165,3 +165,26 @@ def test_simulation_timeout_message_carries_machine_context():
     assert "sieve/switch-on-load" in message
     assert "model=switch-on-load" in message
     assert "P=2" in message and "M=2" in message
+
+
+def test_predicted_tolerates_keys_recorded_mid_loop(monkeypatch):
+    """``/healthz`` calls ``predicted()`` while the serve scheduler thread
+    records keys; a key added during the loop must not abort it."""
+    engine = Engine(workers=1, runlog=False)
+    first = RunSpec(app="sieve", model="ideal", processors=2, level=1,
+                    scale="tiny")
+    late = RunSpec(app="sor", model="ideal", processors=2, level=1,
+                   scale="tiny")
+    engine._record_predict_key(first)
+
+    class _Prediction:
+        def to_dict(self):
+            return {"stub": True}
+
+    def _predict_and_record(*key):
+        engine._record_predict_key(late)
+        return _Prediction()
+
+    monkeypatch.setattr("repro.lint.predict_spec_cached", _predict_and_record)
+    assert engine.predicted() == {first.label(): {"stub": True}}
+    assert late.label() in engine.predicted()

@@ -3,7 +3,9 @@
 The :mod:`repro.jit` backend exists to be *fast*, never *different*:
 for every application x switch-model pair the compiled backend must
 produce a :meth:`SimStats.to_dict` bit-identical to the interpreter's.
-This suite pins that contract three ways:
+This suite pins that contract three ways, and then checks that the
+compiled-block table, shared by every program with the same content,
+never hands one program code compiled for a different one:
 
 * the full application x model grid, fault-free (every program built
   with ``lint=True``, so only statically verified code is compiled);
@@ -21,12 +23,18 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_program
 from repro.apps.registry import app_names
 from repro.check import check_result
+from repro.engine import Engine
 from repro.engine.executor import _build
 from repro.engine.spec import RunSpec
 from repro.faults import FaultConfig
+from repro.isa import assemble
+from repro.isa.registers import reg_index
+from repro.jit import compile_seconds_for
 from repro.machine import SwitchModel
+from repro.obs.spans import SpanRecorder
 from repro.runtime.execution import make_simulator
 
 GOLDEN = json.loads(
@@ -121,3 +129,89 @@ def test_compiled_matches_golden_fixture(key):
         if stats.get(name) != value
     }
     assert not mismatched, f"{key}: compiled drift from golden in {mismatched}"
+
+
+# -- the content-keyed block table ---------------------------------------------
+# Each test below runs code that no other test runs, so what an earlier
+# test compiled cannot already sit in the shared table.
+
+
+def _compiled_blocks(program) -> int:
+    return sum(cp.compiled_blocks for cp in program._jit_variants.values())
+
+
+def test_identical_programs_share_compiled_blocks():
+    """A second program with the same content compiles nothing, and its
+    first ``compile_seconds_for`` sample already counts what the first
+    program compiled, so the run's delta is exactly 0.0."""
+    text = """
+        li   r9, 5
+    again:
+        lws  r10, 3(r0)
+        addi r9, r9, -1
+        add  r11, r11, r10
+        swl  r11, 2(r0)
+        bgt  r9, r0, again
+        halt
+    """
+    shape = dict(model=SwitchModel.SWITCH_ON_LOAD, threads=2)
+    first, second = assemble(text), assemble(text)
+    run_program(first, backend="compiled", **shape)
+    blocks = _compiled_blocks(first)
+    assert blocks > 0
+
+    before = compile_seconds_for(second)
+    assert second._jit_variants is first._jit_variants
+    compiled = run_program(second, backend="compiled", **shape)
+    assert _compiled_blocks(second) == blocks
+    assert compile_seconds_for(second) - before == 0.0
+
+    interpreted = run_program(assemble(text), backend="interpreter", **shape)
+    assert compiled.stats.to_dict() == interpreted.stats.to_dict()
+    assert compiled.wall_cycles == interpreted.wall_cycles
+
+
+def test_float_immediates_store_what_the_interpreter_stores():
+    """``repr`` of ``inf``, ``-inf`` and ``nan`` is no Python literal, so
+    the generated code must spell them another way.  ``1 == 1.0`` and
+    ``0.0 == -0.0``, but each stores a different value: every program
+    stays alive here, so a table keyed on ``imm ==`` would run the first
+    one's block for its twin."""
+    f13 = reg_index("f13")
+    programs = []
+    for text in ("inf", "-inf", "nan", "1", "1.0", "0.0", "-0.0"):
+        stored = []
+        for backend in ("compiled", "interpreter"):
+            programs.append(assemble(f"fli f13, {text}\nhalt\n"))
+            result = run_program(programs[-1], backend=backend)
+            stored.append(repr(result.threads[0].regs[f13]))
+        assert stored[0] == stored[1], text
+
+
+def test_traced_engine_run_of_shared_content_records_no_compile():
+    """The engine's ``jit-compile`` span covers only the run's own
+    compiling: a run of a new program whose content was already compiled
+    records none, and never one longer than its ``run`` sibling."""
+    spec = RunSpec(app="synth:9137", model="switch-on-load", processors=2,
+                   level=1, scale="tiny", backend="compiled")
+    shape = (spec.app, spec.total_threads, spec.effective_code_model.value,
+             spec.scale)
+    app, first = _build(*shape, True)
+    make_simulator(app, spec.machine_config(), program=first,
+                   backend="compiled").run()
+    blocks = _compiled_blocks(first)
+
+    recorder = SpanRecorder(capacity=None)
+    with Engine(workers=1, runlog=False, spans=recorder) as engine:
+        engine.run(spec)
+    _app, second = _build(*shape, False)  # the program the engine ran
+    assert second is not first
+    assert _compiled_blocks(second) == blocks
+
+    spans = recorder.spans()
+    runs = {s.parent_id: s for s in spans if s.name == "run"}
+    compiles = [s for s in spans if s.name == "jit-compile"]
+    assert runs
+    for span in compiles:
+        assert span.duration <= runs[span.parent_id].duration
+    assert compiles == []

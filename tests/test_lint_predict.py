@@ -95,6 +95,26 @@ def test_data_dependent_loop_is_unbounded():
     assert analysis.max_exec[header] == float("inf")
 
 
+def test_write_to_r0_keeps_r0_zero():
+    """The machine discards writes to r0, so the loop below counts r1
+    down to 0 and its block runs 10 times; a predictor that believed
+    ``li r0, 7`` would bound it by 4."""
+    program = assemble(
+        """
+        li r0, 7
+        li r1, 10
+    loop:
+        addi r1, r1, -1
+        bgt r1, r0, loop
+        halt
+        """
+    )
+    analysis = ProgramAnalysis(program)
+    assert analysis.const_at(1, reg_index("r0")) == 0
+    assert [loop.trips for loop in analysis.loops] == [10]
+    assert analysis.max_exec[analysis.cfg.block_of_pc(2)] >= 10
+
+
 # -- per-model bounds --------------------------------------------------------
 
 
