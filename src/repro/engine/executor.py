@@ -392,10 +392,15 @@ class Engine:
         self._predict_keys.setdefault(key, spec.label())
 
     def report(self) -> Dict:
-        """Machine-readable summary of everything this engine did."""
+        """Machine-readable summary of everything this engine did: the
+        :meth:`predicted` bounds, then the :meth:`counters`."""
+        return {"predicted": self.predicted(), **self.counters()}
+
+    def counters(self) -> Dict:
+        """The engine's counts — :meth:`report` without the
+        ``predicted`` block, so reading them never runs the predictor."""
         completed = self._counts["executed"] + self._counts["cached"]
         return {
-            "predicted": self.predicted(),
             "executed": self._counts["executed"],
             "executed_by_backend": dict(
                 sorted(self._executed_by_backend.items())
@@ -419,8 +424,8 @@ class Engine:
         }
 
     def summary_line(self) -> str:
-        """One-line human rendering of :meth:`report` (for stderr)."""
-        report = self.report()
+        """One-line human rendering of :meth:`counters` (for stderr)."""
+        report = self.counters()
         cache_part = (
             f", {report['cached']} from cache ({100 * report['cache_fraction']:.0f}%)"
             if self.cache

@@ -8,11 +8,19 @@ switch is identified in the decode stage (Section 3); the one cycle consumed
 by the explicit ``SWITCH`` opcode itself is the "penalty" discussed in
 Section 5.1 and is modelled simply by the instruction occupying an issue
 slot.
+
+What each ALU, FP and compare-branch opcode computes, and when it
+faults, is written once, in :data:`EXPR` and :data:`FAULTS`.  The
+interpreter and the constant folder (:mod:`repro.lint.predict`) call the
+evaluators :data:`EVAL` builds from them at import; the compiled backend
+formats the same templates with literal register indices.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+from typing import Callable
 
 
 class Op(enum.IntEnum):
@@ -189,6 +197,114 @@ CYCLE_COST: dict[Op, int] = {
     Op.CVTIF: 2,
     Op.CVTFI: 2,
 }
+
+# Truncating integer division: the quotient rounds toward zero, and the
+# remainder takes the dividend's sign (C / R3000 semantics, not Python's
+# floor division).
+_QUOTIENT = ("(abs({a}) // abs({b}) if ({a} < 0) == ({b} < 0)"
+             " else -(abs({a}) // abs({b})))")
+
+#: What each value opcode computes and each compare branch tests, as a
+#: Python expression over ``{a}`` (rs1's value), ``{b}`` (rs2's value)
+#: and ``{i}`` (the immediate).  A value is stored to ``rd`` (never to
+#: r0); a true branch condition jumps to the target.  FP registers live
+#: in the same register file, so FP templates look like integer ones.
+EXPR: dict[Op, str] = {
+    Op.ADD: "{a} + {b}",
+    Op.SUB: "{a} - {b}",
+    Op.MUL: "{a} * {b}",
+    Op.DIV: _QUOTIENT,
+    Op.REM: "{a} - " + _QUOTIENT + " * {b}",
+    Op.AND: "{a} & {b}",
+    Op.OR: "{a} | {b}",
+    Op.XOR: "{a} ^ {b}",
+    Op.SLL: "{a} << {b}",
+    Op.SRL: "{a} >> {b}",
+    Op.SRA: "{a} >> {b}",
+    Op.SLT: "1 if {a} < {b} else 0",
+    Op.SLE: "1 if {a} <= {b} else 0",
+    Op.SEQ: "1 if {a} == {b} else 0",
+    Op.SNE: "1 if {a} != {b} else 0",
+    Op.ADDI: "{a} + {i}",
+    Op.MULI: "{a} * {i}",
+    Op.ANDI: "{a} & {i}",
+    Op.ORI: "{a} | {i}",
+    Op.XORI: "{a} ^ {i}",
+    Op.SLLI: "{a} << {i}",
+    Op.SRLI: "{a} >> {i}",
+    Op.SLTI: "1 if {a} < {i} else 0",
+    Op.LI: "{i}",
+    Op.MOV: "{a}",
+    Op.FADD: "{a} + {b}",
+    Op.FSUB: "{a} - {b}",
+    Op.FMUL: "{a} * {b}",
+    Op.FDIV: "{a} / {b}",
+    Op.FNEG: "-{a}",
+    Op.FABS: "abs({a})",
+    Op.FSQRT: "math.sqrt({a})",
+    Op.FMOV: "{a}",
+    Op.FLI: "{i}",
+    Op.FSLT: "1 if {a} < {b} else 0",
+    Op.FSLE: "1 if {a} <= {b} else 0",
+    Op.FSEQ: "1 if {a} == {b} else 0",
+    Op.CVTIF: "float({a})",
+    Op.CVTFI: "math.trunc({a})",
+    Op.BEQ: "{a} == {b}",
+    Op.BNE: "{a} != {b}",
+    Op.BLT: "{a} < {b}",
+    Op.BLE: "{a} <= {b}",
+    Op.BGT: "{a} > {b}",
+    Op.BGE: "{a} >= {b}",
+}
+
+#: Run-time faults: ``(condition, message)`` over the same placeholders.
+#: The condition is tested before the value is computed; when it holds,
+#: the instruction raises ``ExecutionError("pc=<pc>: <message> (<asm>)")``
+#: on either backend.  (The CVTFI condition is written as a comparison
+#: rather than ``math.isfinite``, which raises on ints past float range.)
+FAULTS: dict[Op, tuple[str, str]] = {
+    Op.DIV: ("{b} == 0", "integer divide by zero"),
+    Op.REM: ("{b} == 0", "integer divide by zero"),
+    Op.SLL: ("{b} < 0", "negative shift amount"),
+    Op.SRL: ("{b} < 0", "negative shift amount"),
+    Op.SRA: ("{b} < 0", "negative shift amount"),
+    Op.FDIV: ("{b} == 0", "float divide by zero"),
+    Op.FSQRT: ("{a} < 0", "sqrt of negative value"),
+    Op.CVTFI: ("not -math.inf < {a} < math.inf",
+               "float-to-int of a non-finite value"),
+}
+
+
+class OpFault(ArithmeticError):
+    """A :data:`FAULTS` condition held; the message is the row's."""
+
+
+def _build_evaluators() -> dict[Op, Callable]:
+    """One ``def <NAME>(regs, ins)`` per row, compiled together: read the
+    operands the row uses, test its fault condition, return the value."""
+    names = {"a": "a", "b": "b", "i": "i"}
+    source = []
+    for op, expr in EXPR.items():
+        condition, message = FAULTS.get(op, ("", ""))
+        source.append(f"def {op.name}(regs, ins):")
+        for name, read in (("a", "regs[ins.rs1]"), ("b", "regs[ins.rs2]"),
+                           ("i", "ins.imm")):
+            if "{%s}" % name in condition + expr:
+                source.append(f"    {name} = {read}")
+        if condition:
+            source.append(f"    if {condition.format(**names)}:")
+            source.append(f"        raise OpFault({message!r})")
+        source.append(f"    return {expr.format(**names)}")
+    namespace = {"math": math, "OpFault": OpFault}
+    exec(compile("\n".join(source), "<repro.isa.opcodes.EXPR>", "exec"),
+         namespace)
+    return {op: namespace[op.name] for op in EXPR}
+
+
+#: ``EVAL[op](regs, ins)``: the value (or branch condition) of one
+#: instruction, read from any indexable register file; raises
+#: :class:`OpFault` when the opcode's :data:`FAULTS` condition holds.
+EVAL: dict[Op, Callable] = _build_evaluators()
 
 SHARED_LOADS = frozenset({Op.LWS, Op.LDS, Op.FAA})
 SHARED_STORES = frozenset({Op.SWS, Op.SDS})

@@ -23,11 +23,14 @@ Equivalence contract
 --------------------
 The generated code must be **bit-identical** to the interpreter: same
 SimStats, same tracer event stream, same exceptions with the same
-messages.  Every emission site therefore mirrors a specific line of
-``_burst`` — per-instruction order is (1) deadline check, (2) in-flight
-scoreboard check, (3) tracer probe, (4) execution — and anything the
-interpreter evaluates for its side effects (a divide-by-zero check on a
-discarded destination, a cache LRU touch) is still evaluated here.
+messages.  Per-instruction order is the interpreter's — (1) deadline
+check, (2) in-flight scoreboard check, (3) tracer probe, (4) execution.
+ALU, FP and compare-branch bodies format the same :data:`~repro.isa.
+opcodes.EXPR` / :data:`~repro.isa.opcodes.FAULTS` templates the
+interpreter's evaluators are built from; memory, jump and ``SWITCH``
+sites mirror specific lines of ``_burst``.  Anything the interpreter
+evaluates for its side effects (a divide-by-zero check on a discarded
+destination, a cache LRU touch) is still evaluated here.
 
 A *block function* covers the instructions from its entry pc up to the
 first unconditional control transfer (or an emission cap) and has the
@@ -52,7 +55,7 @@ from heapq import heappush
 from typing import List, Optional, Tuple
 
 from repro.isa.instruction import Instruction, instr_reads, instr_writes
-from repro.isa.opcodes import Op
+from repro.isa.opcodes import EXPR, FAULTS, Op
 from repro.machine.network import MsgKind
 from repro.machine.processor import (
     ExecutionError,
@@ -83,7 +86,6 @@ MAX_EMIT = 64
 _MIN_RUN = 2
 
 # Opcode integer boundaries, identical to the interpreter's dispatch.
-_INT_MAX = 25
 _FP_MAX = 39
 _BR_MAX = 45
 _JMP_MAX = 50
@@ -91,15 +93,6 @@ _LOCAL_MAX = 54
 _SHARED_MAX = 59
 
 _OPS = {int(op): op for op in Op}
-
-_BRANCH_CMP = {
-    Op.BNE: "!=",
-    Op.BEQ: "==",
-    Op.BLT: "<",
-    Op.BGE: ">=",
-    Op.BLE: "<=",
-    Op.BGT: ">",
-}
 
 #: Hoisted locals the generated preamble may need, in emission order.
 #: Each entry is (name, statement, prerequisites).
@@ -272,89 +265,12 @@ def _addr_expr(ins: Instruction) -> str:
     return f"regs[{ins.rs1}]"
 
 
-def _int_expr(ins: Instruction) -> Optional[str]:
-    """Expression for a non-faulting integer ALU op (None for DIV/REM)."""
-    op = ins.op
-    r1 = f"regs[{ins.rs1}]"
-    r2 = f"regs[{ins.rs2}]"
-    imm = _literal(ins.imm)
-    if op is Op.ADDI:
-        return f"{r1} + {imm}"
-    if op is Op.ADD:
-        return f"{r1} + {r2}"
-    if op is Op.LI:
-        return imm
-    if op is Op.MOV:
-        return r1
-    if op is Op.SUB:
-        return f"{r1} - {r2}"
-    if op is Op.SLT:
-        return f"1 if {r1} < {r2} else 0"
-    if op is Op.SLE:
-        return f"1 if {r1} <= {r2} else 0"
-    if op is Op.SEQ:
-        return f"1 if {r1} == {r2} else 0"
-    if op is Op.SNE:
-        return f"1 if {r1} != {r2} else 0"
-    if op is Op.SLTI:
-        return f"1 if {r1} < {imm} else 0"
-    if op is Op.MUL:
-        return f"{r1} * {r2}"
-    if op is Op.MULI:
-        return f"{r1} * {imm}"
-    if op is Op.AND:
-        return f"{r1} & {r2}"
-    if op is Op.OR:
-        return f"{r1} | {r2}"
-    if op is Op.XOR:
-        return f"{r1} ^ {r2}"
-    if op is Op.SLL:
-        return f"{r1} << {r2}"
-    if op is Op.SRL or op is Op.SRA:
-        return f"{r1} >> {r2}"
-    if op is Op.ANDI:
-        return f"{r1} & {imm}"
-    if op is Op.ORI:
-        return f"{r1} | {imm}"
-    if op is Op.XORI:
-        return f"{r1} ^ {imm}"
-    if op is Op.SLLI:
-        return f"{r1} << {imm}"
-    if op is Op.SRLI:
-        return f"{r1} >> {imm}"
-    return None  # DIV / REM fault on a zero divisor; emitted as a block
-
-
-def _fp_expr(ins: Instruction) -> Optional[str]:
-    """Expression for a non-faulting FP op (None for FDIV/FSQRT)."""
-    op = ins.op
-    r1 = f"regs[{ins.rs1}]"
-    r2 = f"regs[{ins.rs2}]"
-    if op is Op.FADD:
-        return f"{r1} + {r2}"
-    if op is Op.FSUB:
-        return f"{r1} - {r2}"
-    if op is Op.FMUL:
-        return f"{r1} * {r2}"
-    if op is Op.FNEG:
-        return f"-{r1}"
-    if op is Op.FABS:
-        return f"abs({r1})"
-    if op is Op.FMOV:
-        return r1
-    if op is Op.FLI:
-        return _literal(ins.imm)
-    if op is Op.FSLT:
-        return f"1 if {r1} < {r2} else 0"
-    if op is Op.FSLE:
-        return f"1 if {r1} <= {r2} else 0"
-    if op is Op.FSEQ:
-        return f"1 if {r1} == {r2} else 0"
-    if op is Op.CVTIF:
-        return f"float({r1})"
-    if op is Op.CVTFI:
-        return f"math.trunc({r1})"
-    return None  # FDIV / FSQRT
+def _operands(ins: Instruction) -> dict:
+    """Source text for the ``{a}``/``{b}``/``{i}`` placeholders of
+    :data:`~repro.isa.opcodes.EXPR` and :data:`~repro.isa.opcodes.FAULTS`:
+    literal register indices and the immediate itself."""
+    return {"a": f"regs[{ins.rs1}]", "b": f"regs[{ins.rs2}]",
+            "i": _literal(ins.imm)}
 
 
 class _Emitter:
@@ -445,38 +361,15 @@ class _Emitter:
     def _alu_body(self, ins: Instruction, i: int, ind: int) -> None:
         """Integer ALU / FP op body (no guards, no t update)."""
         self.use("regs")
-        op = ins.op
-        tgt = self._target(ins.rd)
-        if op is Op.DIV or op is Op.REM:
-            msg = f"pc={i}: integer divide by zero ({ins.to_asm()})"
-            self.w(ind, f"_a = regs[{ins.rs1}]")
-            self.w(ind, f"_b = regs[{ins.rs2}]")
-            self.w(ind, "if _b == 0:")
+        operands = _operands(ins)
+        fault = FAULTS.get(ins.op)
+        if fault is not None:
+            condition, message = fault
+            msg = f"pc={i}: {message} ({ins.to_asm()})"
+            self.w(ind, f"if {condition.format(**operands)}:")
             self.w(ind + 1, f"raise ExecutionError({msg!r})")
-            self.w(ind, "_q = abs(_a) // abs(_b)")
-            self.w(ind, "if (_a < 0) != (_b < 0):")
-            self.w(ind + 1, "_q = -_q")
-            if op is Op.DIV:
-                self.w(ind, f"{tgt} = _q")
-            else:
-                self.w(ind, f"{tgt} = _a - _q * _b")
-            return
-        if op is Op.FDIV:
-            msg = f"pc={i}: float divide by zero ({ins.to_asm()})"
-            self.w(ind, f"_b = regs[{ins.rs2}]")
-            self.w(ind, "if _b == 0:")
-            self.w(ind + 1, f"raise ExecutionError({msg!r})")
-            self.w(ind, f"{tgt} = regs[{ins.rs1}] / _b")
-            return
-        if op is Op.FSQRT:
-            msg = f"pc={i}: sqrt of negative value ({ins.to_asm()})"
-            self.w(ind, f"_a = regs[{ins.rs1}]")
-            self.w(ind, "if _a < 0:")
-            self.w(ind + 1, f"raise ExecutionError({msg!r})")
-            self.w(ind, f"{tgt} = math.sqrt(_a)")
-            return
-        expr = _int_expr(ins) if int(op) <= _INT_MAX else _fp_expr(ins)
-        self.w(ind, f"{tgt} = {expr}")
+        expr = EXPR[ins.op].format(**operands)
+        self.w(ind, f"{self._target(ins.rd)} = {expr}")
 
     def _local_body(self, ins: Instruction, ind: int) -> None:
         """Local-memory op body (no guards, no t update)."""
@@ -807,9 +700,8 @@ class _Emitter:
 
         if v <= _BR_MAX:  # conditional branches
             self.use("regs")
-            cmp = _BRANCH_CMP[ins.op]
             self.w(ind, "t += 1")
-            self.w(ind, f"if regs[{ins.rs1}] {cmp} regs[{ins.rs2}]:")
+            self.w(ind, f"if {EXPR[ins.op].format(**_operands(ins))}:")
             self._goto(ind + 1, ins.target, n + 1)
             return True, i + 1
 

@@ -60,6 +60,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.isa.instruction import Instruction, instr_reads, instr_writes
 from repro.isa.opcodes import (
+    EVAL,
     Op,
     OP_SIG,
     SHARED_LOADS,
@@ -99,32 +100,18 @@ def _cost(ins: Instruction) -> int:
 _CONST_LIMIT = 1 << 40  # fold results past this are dropped (overflow-safe)
 
 
+#: Opcodes the lattice folds, through their :data:`~repro.isa.opcodes.
+#: EVAL` evaluator: enough for the builder's counted-loop shape.
+_FOLDED = frozenset({Op.LI, Op.MOV, Op.ADDI, Op.MULI, Op.ADD, Op.SUB, Op.MUL})
+
+
 def _const_transfer(state: Dict[int, int], ins: Instruction) -> None:
     """Forward transfer of the constant lattice over one instruction.
     *state* maps register slot -> known constant; absent means unknown."""
-    op = ins.op
-    value: Optional[int] = None
-    if op is Op.LI and isinstance(ins.imm, int):
-        value = ins.imm
-    elif op is Op.MOV:
-        value = state.get(ins.rs1)
-    elif op is Op.ADDI:
-        base = state.get(ins.rs1)
-        if base is not None:
-            value = base + ins.imm
-    elif op is Op.MULI:
-        base = state.get(ins.rs1)
-        if base is not None:
-            value = base * ins.imm
-    elif op in (Op.ADD, Op.SUB, Op.MUL):
-        lhs, rhs = state.get(ins.rs1), state.get(ins.rs2)
-        if lhs is not None and rhs is not None:
-            value = (
-                lhs + rhs if op is Op.ADD
-                else lhs - rhs if op is Op.SUB
-                else lhs * rhs
-            )
-    if value is not None and abs(value) <= _CONST_LIMIT:
+    value = None
+    if ins.op in _FOLDED and all(slot in state for slot in instr_reads(ins)):
+        value = EVAL[ins.op](state, ins)
+    if isinstance(value, int) and abs(value) <= _CONST_LIMIT:
         if ins.rd:  # the machine discards writes to r0
             state[ins.rd] = value
         return

@@ -18,7 +18,7 @@ Soundness caveats the checks encode:
   meaningful run-length census.
 
 Failing synthetic seeds are shrunk with the fuzzer's segment-level
-ddmin (:func:`repro.synth.generator.prune_plan`) and written as the
+ddmin (:func:`repro.synth.generator.shrink_segments`) and written as the
 same JSON repro bundles ``repro-fuzz`` produces, so a predictor bug
 arrives as a minimal kernel plus the first violated invariant.
 
@@ -338,7 +338,7 @@ def shrink_predict_plan(
 ) -> Dict:
     """Minimal plan (ddmin over top-level segments, exactly the fuzzer's
     strategy) still violating *invariant*."""
-    from repro.synth.generator import plan_segment_ids, prune_plan
+    from repro.synth.generator import shrink_segments
 
     def still_fails(candidate: Dict) -> bool:
         return any(
@@ -346,24 +346,7 @@ def shrink_predict_plan(
             for v in _plan_violations(candidate, options, doctor)
         )
 
-    kept = plan_segment_ids(plan)
-    chunk = max(1, len(kept) // 2)
-    while True:
-        removed_any = False
-        index = 0
-        while index < len(kept):
-            candidate_ids = kept[:index] + kept[index + chunk:]
-            if still_fails(prune_plan(plan, set(candidate_ids))):
-                kept = candidate_ids
-                removed_any = True
-            else:
-                index += chunk
-        if chunk == 1:
-            if not removed_any:
-                break
-        else:
-            chunk = max(1, chunk // 2)
-    return prune_plan(plan, set(kept))
+    return shrink_segments(plan, still_fails)
 
 
 def validate_synth_seed(

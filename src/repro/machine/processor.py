@@ -8,11 +8,15 @@ still in flight.
 
 Design notes for the interpreter loop (``_burst``):
 
-* Opcode dispatch is a range-partitioned if/elif chain over the
-  ``Op`` integer values (declaration order groups related opcodes), with
-  the hottest groups first.  This keeps the per-instruction overhead low
-  enough to simulate millions of instructions per experiment in pure
-  Python.
+* What an ALU, FP or compare-branch instruction computes is not
+  written here.  Each pc's evaluator from :data:`repro.isa.opcodes.EVAL`
+  (looked up once, when the processor is built) returns the value or the
+  branch condition, or raises the opcode's :data:`~repro.isa.opcodes.
+  FAULTS` fault, which the loop reports as an :class:`ExecutionError`
+  naming the pc and the instruction.
+* Jumps, memory opcodes and ``SWITCH``, whose behaviour depends on the
+  switch model, dispatch on range checks over the ``Op`` integer values
+  (declaration order groups related opcodes).
 * Run lengths, the central measured quantity of the paper, are busy
   cycles between *taken* context switches; burst boundaries that are mere
   simulation artifacts (burst limit, waiting for an already-arrived
@@ -25,13 +29,12 @@ Design notes for the interpreter loop (``_burst``):
 
 from __future__ import annotations
 
-import math
 from heapq import heappush
 from typing import List, Optional, TYPE_CHECKING
 
 from repro.faults.plan import RetryLimitExceeded
 from repro.isa.instruction import instr_reads, instr_writes
-from repro.isa.opcodes import Op
+from repro.isa.opcodes import EVAL, Op, OpFault
 from repro.machine.cache import Cache
 from repro.machine.models import SwitchModel
 from repro.machine.thread import ThreadContext
@@ -39,68 +42,20 @@ from repro.machine.thread import ThreadContext
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.simulator import Simulator
 
-# Hoisted opcode integer constants (Op is an IntEnum; comparisons against
-# plain ints run at C speed).
-_ADD = Op.ADD.value
-_SUB = Op.SUB.value
-_MUL = Op.MUL.value
-_DIV = Op.DIV.value
-_REM = Op.REM.value
-_AND = Op.AND.value
-_OR = Op.OR.value
-_XOR = Op.XOR.value
-_SLL = Op.SLL.value
-_SRL = Op.SRL.value
-_SRA = Op.SRA.value
-_SLT = Op.SLT.value
-_SLE = Op.SLE.value
-_SEQ = Op.SEQ.value
-_SNE = Op.SNE.value
-_ADDI = Op.ADDI.value
-_MULI = Op.MULI.value
-_ANDI = Op.ANDI.value
-_ORI = Op.ORI.value
-_XORI = Op.XORI.value
-_SLLI = Op.SLLI.value
-_SRLI = Op.SRLI.value
-_SLTI = Op.SLTI.value
-_LI = Op.LI.value
-_MOV = Op.MOV.value
-_FADD = Op.FADD.value
-_FSUB = Op.FSUB.value
-_FMUL = Op.FMUL.value
-_FDIV = Op.FDIV.value
-_FNEG = Op.FNEG.value
-_FABS = Op.FABS.value
-_FSQRT = Op.FSQRT.value
-_FMOV = Op.FMOV.value
-_FLI = Op.FLI.value
-_FSLT = Op.FSLT.value
-_FSLE = Op.FSLE.value
-_FSEQ = Op.FSEQ.value
-_CVTIF = Op.CVTIF.value
-_CVTFI = Op.CVTFI.value
-_BEQ = Op.BEQ.value
-_BNE = Op.BNE.value
-_BLT = Op.BLT.value
-_BLE = Op.BLE.value
-_BGT = Op.BGT.value
-_BGE = Op.BGE.value
+# Hoisted integer constants of the opcodes the loop runs itself (Op is
+# an IntEnum; comparisons against plain ints run at C speed).
 _J = Op.J.value
 _JAL = Op.JAL.value
 _JR = Op.JR.value
 _NOP = Op.NOP.value
-_HALT = Op.HALT.value
 _LWL = Op.LWL.value
 _SWL = Op.SWL.value
 _LDL = Op.LDL.value
-_SDL = Op.SDL.value
 _LWS = Op.LWS.value
 _SWS = Op.SWS.value
 _LDS = Op.LDS.value
 _SDS = Op.SDS.value
 _FAA = Op.FAA.value
-_SWITCH = Op.SWITCH.value
 
 # Compact model codes for the interpreter.
 M_IDEAL = 0
@@ -170,6 +125,9 @@ class Processor:
         self.forced_interval = config.forced_switch_interval
         self.switch_cost = config.switch_cost if config.model.pays_flush_cost else 0
         self.code = sim.program.instructions
+        #: Per pc: the instruction's ``EVAL`` evaluator, or None for the
+        #: memory, jump and SWITCH opcodes the interpreter runs itself.
+        self.evaluators = [EVAL.get(ins.op) for ins in self.code]
         #: Section 5.2 estimator (list of per-thread OneLineCache or None).
         self.oracle = sim.oracle_caches
 
@@ -278,6 +236,7 @@ class Processor:
         # The whole cost of disabled tracing on this hot loop: one local
         # load + None check per instruction (see repro.obs.tracer).
         tracer = sim.tracer
+        evaluators = self.evaluators
 
         t = now
         deadline = now + self.burst_limit
@@ -329,132 +288,22 @@ class Processor:
             if tracer is not None:
                 tracer.instr(t, pid, thread.tid, pc, op)
 
-            if op <= 25:  # integer ALU / LI / MOV
-                if op == _ADDI:
-                    value = regs[ins.rs1] + ins.imm
-                elif op == _ADD:
-                    value = regs[ins.rs1] + regs[ins.rs2]
-                elif op == _LI:
-                    value = ins.imm
-                elif op == _MOV:
-                    value = regs[ins.rs1]
-                elif op == _SUB:
-                    value = regs[ins.rs1] - regs[ins.rs2]
-                elif op == _SLT:
-                    value = 1 if regs[ins.rs1] < regs[ins.rs2] else 0
-                elif op == _SLE:
-                    value = 1 if regs[ins.rs1] <= regs[ins.rs2] else 0
-                elif op == _SEQ:
-                    value = 1 if regs[ins.rs1] == regs[ins.rs2] else 0
-                elif op == _SNE:
-                    value = 1 if regs[ins.rs1] != regs[ins.rs2] else 0
-                elif op == _SLTI:
-                    value = 1 if regs[ins.rs1] < ins.imm else 0
-                elif op == _MUL:
-                    value = regs[ins.rs1] * regs[ins.rs2]
-                elif op == _MULI:
-                    value = regs[ins.rs1] * ins.imm
-                elif op == _DIV or op == _REM:
-                    dividend = regs[ins.rs1]
-                    divisor = regs[ins.rs2]
-                    if divisor == 0:
-                        raise ExecutionError(
-                            f"pc={pc}: integer divide by zero ({ins.to_asm()})"
-                        )
-                    quotient = abs(dividend) // abs(divisor)
-                    if (dividend < 0) != (divisor < 0):
-                        quotient = -quotient
-                    value = (
-                        quotient if op == _DIV else dividend - quotient * divisor
-                    )
-                elif op == _AND:
-                    value = regs[ins.rs1] & regs[ins.rs2]
-                elif op == _OR:
-                    value = regs[ins.rs1] | regs[ins.rs2]
-                elif op == _XOR:
-                    value = regs[ins.rs1] ^ regs[ins.rs2]
-                elif op == _SLL:
-                    value = regs[ins.rs1] << regs[ins.rs2]
-                elif op == _SRL or op == _SRA:
-                    value = regs[ins.rs1] >> regs[ins.rs2]
-                elif op == _ANDI:
-                    value = regs[ins.rs1] & ins.imm
-                elif op == _ORI:
-                    value = regs[ins.rs1] | ins.imm
-                elif op == _XORI:
-                    value = regs[ins.rs1] ^ ins.imm
-                elif op == _SLLI:
-                    value = regs[ins.rs1] << ins.imm
-                else:  # _SRLI
-                    value = regs[ins.rs1] >> ins.imm
-                if ins.rd:
-                    regs[ins.rd] = value
-                t += ins.cost
-                pc += 1
-                n_instr += 1
-
-            elif op <= 39:  # floating point
-                if op == _FADD:
-                    value = regs[ins.rs1] + regs[ins.rs2]
-                elif op == _FSUB:
-                    value = regs[ins.rs1] - regs[ins.rs2]
-                elif op == _FMUL:
-                    value = regs[ins.rs1] * regs[ins.rs2]
-                elif op == _FDIV:
-                    divisor = regs[ins.rs2]
-                    if divisor == 0:
-                        raise ExecutionError(
-                            f"pc={pc}: float divide by zero ({ins.to_asm()})"
-                        )
-                    value = regs[ins.rs1] / divisor
-                elif op == _FNEG:
-                    value = -regs[ins.rs1]
-                elif op == _FABS:
-                    value = abs(regs[ins.rs1])
-                elif op == _FSQRT:
-                    operand = regs[ins.rs1]
-                    if operand < 0:
-                        raise ExecutionError(
-                            f"pc={pc}: sqrt of negative value ({ins.to_asm()})"
-                        )
-                    value = math.sqrt(operand)
-                elif op == _FMOV:
-                    value = regs[ins.rs1]
-                elif op == _FLI:
-                    value = ins.imm
-                elif op == _FSLT:
-                    value = 1 if regs[ins.rs1] < regs[ins.rs2] else 0
-                elif op == _FSLE:
-                    value = 1 if regs[ins.rs1] <= regs[ins.rs2] else 0
-                elif op == _FSEQ:
-                    value = 1 if regs[ins.rs1] == regs[ins.rs2] else 0
-                elif op == _CVTIF:
-                    value = float(regs[ins.rs1])
-                else:  # _CVTFI
-                    value = math.trunc(regs[ins.rs1])
-                if ins.rd:
-                    regs[ins.rd] = value
-                t += ins.cost
-                pc += 1
-                n_instr += 1
-
-            elif op <= 45:  # conditional branches
-                a = regs[ins.rs1]
-                b = regs[ins.rs2]
-                if op == _BNE:
-                    taken = a != b
-                elif op == _BEQ:
-                    taken = a == b
-                elif op == _BLT:
-                    taken = a < b
-                elif op == _BGE:
-                    taken = a >= b
-                elif op == _BLE:
-                    taken = a <= b
-                else:  # _BGT
-                    taken = a > b
-                pc = ins.target if taken else pc + 1
-                t += 1
+            evaluate = evaluators[pc]
+            if evaluate is not None:  # value and compare-branch opcodes
+                try:
+                    value = evaluate(regs, ins)
+                except OpFault as fault:
+                    raise ExecutionError(
+                        f"pc={pc}: {fault} ({ins.to_asm()})"
+                    ) from None
+                if op <= 39:  # integer ALU / FP: a value for rd
+                    if ins.rd:
+                        regs[ins.rd] = value
+                    t += ins.cost
+                    pc += 1
+                else:  # conditional branch: a condition
+                    pc = ins.target if value else pc + 1
+                    t += 1
                 n_instr += 1
 
             elif op <= 50:  # J / JAL / JR / NOP / HALT

@@ -25,7 +25,7 @@ Quickstart::
     write_chrome_trace("trace.json", tracer.events(), tracer.dropped)
 
 With tracing disabled (the default) the simulator's hot paths pay a
-single attribute check — see ``benchmarks/bench_tracer_overhead.py``.
+single attribute check — see ``benchmarks/bench_overhead.py``.
 """
 
 from repro.obs.events import (

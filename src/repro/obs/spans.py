@@ -32,7 +32,7 @@ The :class:`SpanRecorder` has the same disabled-overhead contract as
 recorder whose ``enabled`` flag is false to ``None`` (see
 :func:`active`), so with recording off every probe site pays one local
 load plus one ``is not None`` check and emitted byte streams stay
-identical (``benchmarks/bench_span_overhead.py`` bounds the cost).
+identical (``benchmarks/bench_overhead.py`` bounds the cost).
 
 Finished spans export three ways:
 

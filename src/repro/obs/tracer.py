@@ -6,7 +6,7 @@ machine pays is one attribute check (``if tracer is not None``) — the
 :class:`~repro.machine.simulator.Simulator` normalises any tracer whose
 ``enabled`` flag is false to ``None`` at construction time, so a
 disabled tracer and no tracer are indistinguishable to the interpreter
-loop (``benchmarks/bench_tracer_overhead.py`` asserts this costs <3%).
+loop (``benchmarks/bench_overhead.py`` asserts this costs <3%).
 
 Three implementations ship:
 

@@ -470,7 +470,7 @@ class JobScheduler:
     def metrics_text(self) -> str:
         """The ``/metrics`` body: serve counters plus the engine's
         lifetime counts, one Prometheus document with stable ordering."""
-        report = self.engine.report()
+        report = self.engine.counters()
         for name in ("executed", "cached", "memo_hits", "failed", "deduped"):
             counter = self.metrics.counter(
                 f"serve.engine.{name}", help=f"Engine lifetime {name} count"

@@ -14,7 +14,7 @@ the grid against three layers of oracles —
    per-thread retired-instruction law measured by an attached tracer.
 
 A failing seed is *shrunk*: delta debugging over the plan's top-level
-segments (:func:`repro.synth.generator.prune_plan`) finds a minimal
+segments (:func:`repro.synth.generator.shrink_segments`) finds a minimal
 kernel that still violates the same invariant, and the result is written
 as a JSON **repro bundle** — seed, config, pruned plan, machine shape
 and the first violated invariant — which :func:`replay_bundle` (and
@@ -48,7 +48,7 @@ from repro.synth.generator import (
     generate_plan,
     plan_segment_ids,
     program_fingerprint,
-    prune_plan,
+    shrink_segments,
 )
 from repro.synth.registry import format_synth_name
 
@@ -443,24 +443,7 @@ def shrink_plan(
         )
         return any(v.invariant == invariant for v in violations)
 
-    kept = plan_segment_ids(plan)
-    chunk = max(1, len(kept) // 2)
-    while True:
-        removed_any = False
-        index = 0
-        while index < len(kept):
-            candidate_ids = kept[:index] + kept[index + chunk:]
-            if still_fails(prune_plan(plan, set(candidate_ids))):
-                kept = candidate_ids
-                removed_any = True
-            else:
-                index += chunk
-        if chunk == 1:
-            if not removed_any:
-                break
-        else:
-            chunk = max(1, chunk // 2)
-    return prune_plan(plan, set(kept))
+    return shrink_segments(plan, still_fails)
 
 
 def make_bundle(

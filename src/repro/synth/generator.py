@@ -40,7 +40,7 @@ Validity is by construction, not by filtering:
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.apps.base import BuiltApp
 from repro.faults.rng import hash_u64
@@ -241,6 +241,31 @@ def prune_plan(plan: Dict, keep: Set[int]) -> Dict:
         for segments in plan["phases"]
     ]
     return pruned
+
+
+def shrink_segments(plan: Dict, still_fails: Callable[[Dict], bool]) -> Dict:
+    """Minimal plan (ddmin over top-level segments) for which
+    *still_fails* still holds: drop ever-smaller chunks of segments
+    while the pruned plan keeps failing, down to single segments, until
+    a pass over single segments removes nothing."""
+    kept = plan_segment_ids(plan)
+    chunk = max(1, len(kept) // 2)
+    while True:
+        removed_any = False
+        index = 0
+        while index < len(kept):
+            candidate_ids = kept[:index] + kept[index + chunk:]
+            if still_fails(prune_plan(plan, set(candidate_ids))):
+                kept = candidate_ids
+                removed_any = True
+            else:
+                index += chunk
+        if chunk == 1:
+            if not removed_any:
+                break
+        else:
+            chunk = max(1, chunk // 2)
+    return prune_plan(plan, set(kept))
 
 
 def _plan_features(plan: Dict) -> Dict:

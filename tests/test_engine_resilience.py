@@ -188,3 +188,34 @@ def test_predicted_tolerates_keys_recorded_mid_loop(monkeypatch):
     monkeypatch.setattr("repro.lint.predict_spec_cached", _predict_and_record)
     assert engine.predicted() == {first.label(): {"stub": True}}
     assert late.label() in engine.predicted()
+
+
+def test_reading_the_counters_runs_no_prediction(monkeypatch):
+    """``summary_line()`` and the ``/metrics`` body read only the
+    engine's counters; ``report()`` (``--json``, ``/healthz``) still
+    predicts every program the engine has seen."""
+    from repro.serve import JobScheduler
+
+    engine = Engine(workers=1, runlog=False)
+    engine.run(RunSpec(app="sieve", model="ideal", processors=2, level=1,
+                       scale="tiny"))
+    scheduler = JobScheduler(engine)
+    calls = []
+
+    class _Prediction:
+        def to_dict(self):
+            return {"stub": True}
+
+    def _count(*key):
+        calls.append(key)
+        return _Prediction()
+
+    monkeypatch.setattr("repro.lint.predict_spec_cached", _count)
+    try:
+        engine.summary_line()
+        scheduler.metrics_text()
+        assert calls == []
+        assert engine.report()["predicted"]
+        assert len(calls) == 1
+    finally:
+        scheduler.stop()

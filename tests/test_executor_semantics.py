@@ -1,14 +1,38 @@
-"""Per-opcode semantics of the burst interpreter (IDEAL machine)."""
+"""Per-opcode semantics of both execution backends (IDEAL machine).
+
+Every test runs its program on the interpreter and on the compiled
+backend and requires the two to agree before checking the values.
+"""
+
+import math
 
 import pytest
 
+from repro.isa import Instruction, Program
+from repro.isa.opcodes import BRANCHES, EXPR, FAULTS, Op
+from repro.lint.predict import _CONST_LIMIT, _FOLDED, _const_transfer
 from repro.machine.processor import ExecutionError
-from conftest import run_asm
+from conftest import run_asm, run_program
+
+BACKENDS = ("interpreter", "compiled")
+
+
+def _run(asm: str, shared=None, regs=None):
+    """The interpreter's result, after checking the compiled backend
+    leaves the same memory and takes the same cycles."""
+    results = [
+        run_asm(asm, shared=shared, regs=regs, backend=backend)
+        for backend in BACKENDS
+    ]
+    interpreted, compiled = results
+    assert compiled.threads[0].local == interpreted.threads[0].local
+    assert compiled.shared == interpreted.shared
+    assert compiled.wall_cycles == interpreted.wall_cycles
+    return interpreted
 
 
 def _local(asm: str, shared=None, regs=None):
-    result = run_asm(asm, shared=shared, regs=regs)
-    return result.threads[0].local
+    return _run(asm, shared=shared, regs=regs).threads[0].local
 
 
 def test_integer_arithmetic():
@@ -48,8 +72,33 @@ def test_division_truncates_toward_zero(a, b, quotient, remainder):
 
 
 def test_divide_by_zero_faults():
-    with pytest.raises(ExecutionError, match="divide by zero"):
-        run_asm("li r1, 1\nli r2, 0\ndiv r3, r1, r2\nhalt\n")
+    for backend in BACKENDS:
+        with pytest.raises(ExecutionError, match="divide by zero"):
+            run_asm("li r1, 1\nli r2, 0\ndiv r3, r1, r2\nhalt\n",
+                    backend=backend)
+
+
+@pytest.mark.parametrize("asm, message", [
+    ("li r1, 1\nli r2, -1\nsll r3, r1, r2\nswl r3, 0(r0)\nhalt\n",
+     "pc=2: negative shift amount (sll     r3, r1, r2)"),
+    ("fli f1, nan\ncvtfi r3, f1\nswl r3, 0(r0)\nhalt\n",
+     "pc=1: float-to-int of a non-finite value (cvtfi   r3, f1)"),
+])
+def test_out_of_range_operands_fault_with_the_pc(asm, message):
+    """A negative register shift count and a non-finite float-to-int
+    conversion raise a structured fault, not a bare ValueError."""
+    for backend in BACKENDS:
+        with pytest.raises(ExecutionError) as caught:
+            run_asm(asm, backend=backend)
+        assert str(caught.value) == message, backend
+
+
+def test_cvtfi_of_an_int_past_float_range_keeps_the_int():
+    """The CVTFI fault condition never raises on its own: an integer too
+    large for a float is finite and truncates to itself."""
+    local = _local("cvtfi r3, r1\nswl r3, 0(r0)\nhalt\n",
+                   regs=[{1: 2 ** 1100}])
+    assert local[0] == 2 ** 1100
 
 
 def test_logic_and_shifts():
@@ -217,7 +266,7 @@ def test_local_memory_doubles():
 
 
 def test_shared_memory_and_faa(tiny_shared):
-    result = run_asm(
+    result = _run(
         """
         li  r1, 5
         lws r2, 2(r0)
@@ -240,11 +289,82 @@ def test_shared_memory_and_faa(tiny_shared):
 
 
 def test_nop_and_switch_are_neutral(tiny_shared):
-    result = run_asm("nop\nswitch\nhalt\n", shared=tiny_shared)
+    result = _run("nop\nswitch\nhalt\n", shared=tiny_shared)
     assert result.wall_cycles == 2  # nop + switch each cost one cycle
 
 
 def test_instruction_costs_accumulate():
-    result = run_asm("li r1, 2\nli r2, 3\nmul r3, r1, r2\nhalt\n")
+    result = _run("li r1, 2\nli r2, 3\nmul r3, r1, r2\nhalt\n")
     # li + li + mul(12) = 14 cycles
     assert result.wall_cycles == 14
+
+
+# -- every EXPR row on both backends and in the constant folder ----------------
+
+#: Operands for every row: each doubles as rs1's value, rs2's value and
+#: the immediate.  They include every FAULTS trigger (a zero divisor, a
+#: negative shift count or sqrt operand, a non-finite float) and values
+#: outside what an opcode accepts, whose plain Python errors must
+#: propagate alike.
+OPERANDS = (7, -3, 0, 2.5, -0.0, math.inf, math.nan, 2 ** 1100)
+
+
+def _row_program(op: Op, imm) -> Program:
+    """``op r3, r1, r2/imm`` with r3 stored to local word 0; a branch
+    stores 1 when taken and 0 when not."""
+    store = [Instruction(Op.SWL, rs1=0, rs2=3), Instruction(Op.HALT)]
+    if op in BRANCHES:
+        body = [
+            Instruction(Op.LI, rd=3, imm=1),
+            Instruction(op, rs1=1, rs2=2, label="taken"),
+            Instruction(Op.LI, rd=3, imm=0),
+        ]
+        labels = {"taken": len(body)}
+    else:
+        body = [Instruction(op, rd=3, rs1=1, rs2=2, imm=imm)]
+        labels = {}
+    return Program(body + store, labels, name=op.name.lower()).finalize()
+
+
+def _outcome(program: Program, a, b, backend: str):
+    try:
+        result = run_program(program, regs=[{1: a, 2: b}], backend=backend)
+    except Exception as error:  # noqa: BLE001 - the outcome under test
+        return ("raise", type(error).__name__, str(error))
+    return ("value", repr(result.threads[0].local[0]))
+
+
+@pytest.mark.parametrize("op", sorted(EXPR), ids=lambda op: op.name)
+def test_expr_row_agrees_on_both_backends_and_in_the_folder(op):
+    faults = set()
+    for a in OPERANDS:
+        for b in OPERANDS:
+            program = _row_program(op, b)
+            interpreted = _outcome(program, a, b, "interpreter")
+            compiled = _outcome(program, a, b, "compiled")
+            assert compiled == interpreted, (op.name, a, b)
+            if interpreted[:2] == ("raise", "ExecutionError"):
+                faults.add(interpreted[2])
+            if op in _FOLDED:
+                _check_folder(op, program.instructions[0], a, b, interpreted)
+    # Only the row's own fault fires, and the operands do trigger it.
+    expected = set()
+    if op in FAULTS:
+        asm = _row_program(op, 0).instructions[0].to_asm()
+        expected = {f"pc=0: {FAULTS[op][1]} ({asm})"}
+    assert faults == expected
+
+
+def _check_folder(op: Op, ins: Instruction, a, b, interpreted) -> None:
+    """The folder's lattice holds only ints within ``_CONST_LIMIT``.  A
+    folded value must be the one the machine stores, and the folder must
+    fold whenever every operand the row reads is such an int."""
+    known = {slot: value for slot, value in ((1, a), (2, b))
+             if type(value) is int and abs(value) <= _CONST_LIMIT}
+    state = {0: 0, **known}
+    _const_transfer(state, ins)
+    used = [value for name, value in (("{a}", a), ("{b}", b), ("{i}", b))
+            if name in EXPR[op]]
+    if 3 in state or all(type(value) is int and abs(value) <= _CONST_LIMIT
+                         for value in used):
+        assert ("value", repr(state.get(3))) == interpreted, (op.name, a, b)
