@@ -682,24 +682,16 @@ class Engine:
             recorder = self.spans
             submitted = []
             for index, spec, key in remaining:
-                # Extra args only when spans/linting are on: test doubles
-                # (and older pickled workers) keep the plain (spec)
-                # signature.
+                dispatch = span_context = None
                 if recorder is not None:
                     dispatch = recorder.start(
                         "dispatch", parent=self._trace,
                         attributes={"spec": spec.label(), "mode": "pool"},
                     )
-                    future = pool.submit(
-                        execute_spec, spec, False, self.lint,
-                        (dispatch.trace_id, dispatch.span_id),
-                    )
-                elif self.lint:
-                    dispatch = None
-                    future = pool.submit(execute_spec, spec, False, True)
-                else:
-                    dispatch = None
-                    future = pool.submit(execute_spec, spec)
+                    span_context = (dispatch.trace_id, dispatch.span_id)
+                future = pool.submit(
+                    execute_spec, spec, False, self.lint, span_context
+                )
                 deadline = (
                     time.monotonic() + self.timeout
                     if self.timeout is not None

@@ -164,8 +164,8 @@ def predict_spec_cached(
     code_model: Optional[str] = None,
 ) -> ModelPrediction:
     """Per-process memo of the static performance bounds for the program
-    a :class:`~repro.engine.spec.RunSpec` would run — the engine and the
-    serve scheduler attach these to every report, and sweeps repeat
+    a :class:`~repro.engine.spec.RunSpec` would run — the engine attaches
+    these to its report (and ``/healthz``), and sweeps repeat
     (app, model, shape) triples.  *code_model* lowers the program for a
     different model than the machine runs (the reorganisation-penalty
     experiments); the bounds always describe the *machine* model's

@@ -4,13 +4,11 @@ Examples::
 
     repro-analyze sieve                    # per-model bound table
     repro-analyze --all --json pred.json   # machine-readable predictions
-    repro-analyze sor --sarif sor.sarif    # lint findings as SARIF
     repro-analyze --all --validate         # predicted vs measured gate
-    repro-analyze --validate --seeds 25    # + differential synth seeds
-    repro-analyze --selftest               # prove the validator's teeth
 
-Exit status: 0 on success, 1 when validation (or the self-test) found
-violations, 2 on usage errors.
+Generated kernels are checked against the same bounds by ``repro-fuzz``.
+Exit status: 0 on success, 1 when validation found violations, 2 on
+usage errors.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ def _render_prediction(name: str, prediction) -> str:
     lines = [header]
     lines.append(
         f"  {'model':22s} {'run[min,max]':>14s} {'sw[min,max]':>14s} "
-        f"{'util<=':>8s} {'sites':>6s} {'mean~':>7s}"
+        f"{'util<=':>8s} {'sites':>6s}"
     )
     for model_name, model in sorted(prediction.models.items()):
         runs = f"[{model.run_min},{_bound(model.run_max)}]"
@@ -40,8 +38,7 @@ def _render_prediction(name: str, prediction) -> str:
         lines.append(
             f"  {model_name:22s} {runs:>14s} {switches:>14s} "
             f"{model.utilization_bound:8.3f} "
-            f"{model.static_switch_sites:6d} "
-            f"{model.mean_run_estimate:7.1f}"
+            f"{model.static_switch_sites:6d}"
         )
     functions = prediction.call_graph.get("functions", [])
     if functions:
@@ -109,7 +106,7 @@ def _cmd_analyze(args) -> int:
             for name, prediction in predictions.items()
         },
     }
-    if args.validate or args.seeds:
+    if args.validate:
         payload["validation"] = _run_validation(args, apps, models)
         if not payload["validation"]["ok"]:
             status = 1
@@ -121,93 +118,32 @@ def _cmd_analyze(args) -> int:
             with open(args.json, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle, indent=2, sort_keys=True)
             print(f"[analyze] wrote {args.json}", file=sys.stderr)
-    if args.sarif:
-        _write_sarif(args, apps, models)
     return status
 
 
 def _run_validation(args, apps, models) -> dict:
-    """Differential predicted-vs-measured gate (apps + synth seeds)."""
-    from repro.lint.validate import validate_apps, validate_synth_seeds
+    """Differential predicted-vs-measured gate over the app grid."""
+    from repro.lint.validate import validate_apps
 
-    summary: dict = {"ok": True}
-    if args.validate:
-        app_summary = validate_apps(
-            apps,
-            [m.value for m in models],
-            scale=args.scale,
-            processors=args.processors,
-            level=args.level,
-            latency=args.latency,
-        )
-        summary["apps"] = app_summary
-        summary["ok"] = summary["ok"] and app_summary["ok"]
-        print(
-            f"[analyze] apps: {len(app_summary['cells'])} cell(s), "
-            f"{len(app_summary['violations'])} violation(s)",
-            file=sys.stderr,
-        )
-        for violation in app_summary["violations"]:
-            print(
-                f"  {violation['invariant']}: {violation['message']}",
-                file=sys.stderr,
-            )
-    if args.seeds:
-        from repro.synth.fuzz import FuzzOptions
-
-        synth_summary = validate_synth_seeds(
-            range(args.seeds),
-            options=FuzzOptions(models=tuple(m.value for m in models)),
-            bundle_dir=args.bundle_dir,
-        )
-        summary["synth"] = synth_summary
-        summary["ok"] = summary["ok"] and synth_summary["ok"]
-        print(
-            f"[analyze] synth: {synth_summary['seeds']} seed(s), "
-            f"{synth_summary['failures']} failure(s)",
-            file=sys.stderr,
-        )
-        for path in synth_summary["bundles"]:
-            print(f"  bundle: {path}", file=sys.stderr)
-    return summary
-
-
-def _write_sarif(args, apps, models) -> None:
-    from repro.lint import lint_matrix
-    from repro.lint.sarif import write_sarif
-
-    reports = list(
-        lint_matrix(
-            apps,
-            models,
-            nthreads=args.processors * args.level,
-            scale=args.scale,
-        )
+    summary = validate_apps(
+        apps,
+        [m.value for m in models],
+        scale=args.scale,
+        processors=args.processors,
+        level=args.level,
+        latency=args.latency,
     )
-    write_sarif(args.sarif, reports, tool_name="repro-analyze")
-    print(f"[analyze] wrote {args.sarif}", file=sys.stderr)
-
-
-def _cmd_selftest(args) -> int:
-    from repro.lint.validate import SelfTestError, run_selftest
-
-    try:
-        summary = run_selftest(seed=args.seed)
-    except SelfTestError as error:
-        print(f"repro-analyze: selftest FAILED: {error}", file=sys.stderr)
-        return 1
     print(
-        f"[analyze] selftest passed: {len(summary)} unsound bound(s) "
-        "caught and shrunk",
+        f"[analyze] apps: {len(summary['cells'])} cell(s), "
+        f"{len(summary['violations'])} violation(s)",
         file=sys.stderr,
     )
-    for name, entry in sorted(summary.items()):
+    for violation in summary["violations"]:
         print(
-            f"  {name}: {entry['invariant']} "
-            f"({entry['original_segments']}->"
-            f"{entry['shrunk_segments']} segments)"
+            f"  {violation['invariant']}: {violation['message']}",
+            file=sys.stderr,
         )
-    return 0
+    return summary
 
 
 def main(argv=None) -> int:
@@ -255,43 +191,13 @@ def main(argv=None) -> int:
         "(to stdout with no PATH)",
     )
     parser.add_argument(
-        "--sarif",
-        default=None,
-        metavar="PATH",
-        help="also lint the selected apps and export SARIF 2.1.0",
-    )
-    parser.add_argument(
         "--validate",
         action="store_true",
         help="simulate every cell and gate the static bounds against "
         "measured statistics",
     )
-    parser.add_argument(
-        "--seeds",
-        type=int,
-        default=0,
-        metavar="N",
-        help="also validate N synthetic fuzz kernels (seeds 0..N-1)",
-    )
-    parser.add_argument(
-        "--bundle-dir",
-        default=None,
-        metavar="DIR",
-        help="write shrunk repro bundles for failing seeds here",
-    )
-    parser.add_argument(
-        "--selftest",
-        action="store_true",
-        help="corrupt the predictor deliberately and prove the "
-        "validator catches it",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=3, help="selftest victim seed"
-    )
     args = parser.parse_args(argv)
     try:
-        if args.selftest:
-            return _cmd_selftest(args)
         return _cmd_analyze(args)
     except BrokenPipeError:  # e.g. `repro-analyze --all | head`
         sys.stderr.close()

@@ -17,11 +17,12 @@ simulating a cycle,
   an execution upper bound ``max_exec`` (possibly infinite);
 * per switch model, sound **run-length bounds** ``[run_min, run_max]``,
   **switch-count bounds** ``[switch_min, switch_max]`` and a
-  **utilization/efficiency upper bound**, plus an (ungated) estimated
-  run-length distribution in the paper's Tables 2/4 bins.
+  **utilization upper bound** (measured efficiency is held to it too).
 
-Soundness model (enforced by :mod:`repro.lint.validate` against measured
-:class:`~repro.machine.stats.SimStats`): bounds hold for fault-free,
+Soundness model (checked against measured
+:class:`~repro.machine.stats.SimStats` by
+:func:`repro.lint.validate.prediction_violations`, on the application
+grid and on every fault-free fuzz grid): bounds hold for fault-free,
 jitter-free machines with the Section 5.2 oracle off.  Upper bounds
 (``run_max``, ``switch_max``, ``utilization_bound``) hold for arbitrary
 programs; the lower bounds (``run_min``, ``switch_min``) additionally
@@ -70,7 +71,6 @@ from repro.isa.opcodes import (
 from repro.isa.program import Program
 from repro.isa.registers import ZERO_REG
 from repro.machine.models import SwitchModel
-from repro.analysis.runlength import RUN_BIN_LABELS, RUN_BINS
 from repro.lint.dataflow import LintCFG, dominator_masks
 
 INF = float("inf")
@@ -78,10 +78,6 @@ INF = float("inf")
 #: Tolerance for the utilization bisection and the float comparisons in
 #: the differential validator.
 EPSILON = 1e-6
-
-#: Cap applied to loop trip estimates when weighting the (ungated)
-#: run-length distribution estimate; unbounded loops count this often.
-_ESTIMATE_TRIP_CAP = 100.0
 
 
 def _cost(ins: Instruction) -> int:
@@ -880,10 +876,7 @@ class ModelPrediction:
     run_max: Optional[int]  # None = statically unbounded
     switch_min: int
     switch_max: Optional[int]
-    utilization_bound: float
-    efficiency_bound: float
-    run_bins: Dict[str, float]  # estimated Tables 2/4 distribution
-    mean_run_estimate: float
+    utilization_bound: float  # measured efficiency is held to it too
     static_switch_sites: int
     prepared_program: str
 
@@ -895,12 +888,6 @@ class ModelPrediction:
             "switch_min": self.switch_min,
             "switch_max": self.switch_max,
             "utilization_bound": round(self.utilization_bound, 6),
-            "efficiency_bound": round(self.efficiency_bound, 6),
-            "run_bins": {
-                label: round(value, 4)
-                for label, value in self.run_bins.items()
-            },
-            "mean_run_estimate": round(self.mean_run_estimate, 2),
             "static_switch_sites": self.static_switch_sites,
             "prepared_program": self.prepared_program,
         }
@@ -933,49 +920,6 @@ class Prediction:
             "loops": [loop.to_dict() for loop in self.loops],
             "call_graph": self.call_graph,
         }
-
-
-def _distribution_estimate(
-    analysis: ProgramAnalysis, cuts: Set[int]
-) -> Tuple[Dict[str, float], float]:
-    """Estimated run-length distribution in the paper's bins: a linear
-    layout-order scan cutting at *cuts*, each segment weighted by its
-    block's (capped) execution estimate.  This is descriptive output for
-    the advisor and the tables — only the min/max bounds are gated."""
-    runs: List[Tuple[int, float]] = []
-    carry = 0
-    for index in range(len(analysis.cfg)):
-        if not analysis.cfg.reachable[index]:
-            continue
-        weight = min(analysis.max_exec[index], _ESTIMATE_TRIP_CAP)
-        if weight <= 0:
-            continue
-        for pc, ins in analysis.block_instrs[index]:
-            carry += _cost(ins)
-            if pc in cuts:
-                runs.append((carry, weight))
-                carry = 0
-    if carry > 0:
-        runs.append((carry, 1.0))
-    total = sum(w for _r, w in runs)
-    if not runs or total <= 0:
-        return {label: 0.0 for label in RUN_BIN_LABELS}, 0.0
-    bins = [0.0] * len(RUN_BIN_LABELS)
-    for length, weight in runs:
-        slot = len(RUN_BINS)
-        for position, upper in enumerate(RUN_BINS):
-            if length <= upper:
-                slot = position
-                break
-        bins[slot] += weight
-    mean = sum(length * weight for length, weight in runs) / total
-    return (
-        {
-            label: bins[position] / total
-            for position, label in enumerate(RUN_BIN_LABELS)
-        },
-        mean,
-    )
 
 
 def predict_prepared(
@@ -1038,9 +982,6 @@ def predict_prepared(
     rho = _max_walk_ratio(analysis, sites.must)
     utilization = min(1.0, level * rho)
 
-    bins, mean = _distribution_estimate(
-        analysis, set(sites.must) | sites.may
-    )
     return ModelPrediction(
         model=resolved.value,
         run_min=run_min,
@@ -1048,9 +989,6 @@ def predict_prepared(
         switch_min=switch_min,
         switch_max=switch_max,
         utilization_bound=utilization,
-        efficiency_bound=utilization,
-        run_bins=bins,
-        mean_run_estimate=mean,
         static_switch_sites=len(sites.must) + len(sites.may),
         prepared_program=prepared.name,
     )

@@ -78,7 +78,6 @@ def _result(diagnostic: Diagnostic, rule_index: Dict[str, int]) -> Dict:
 
 def reports_to_sarif(
     reports: Iterable[LintReport],
-    tool_name: str = "repro-lint",
     tool_version: Optional[str] = None,
 ) -> Dict:
     """One SARIF 2.1.0 document holding every diagnostic of *reports*."""
@@ -99,7 +98,7 @@ def reports_to_sarif(
         meta["id"]: position for position, meta in enumerate(rules_meta)
     }
     driver: Dict = {
-        "name": tool_name,
+        "name": "repro-lint",
         "informationUri": "https://github.com/oasis-tcs/sarif-spec",
         "rules": rules_meta,
     }
@@ -128,13 +127,9 @@ def reports_to_sarif(
     }
 
 
-def write_sarif(
-    path: str,
-    reports: Iterable[LintReport],
-    tool_name: str = "repro-lint",
-) -> Dict:
+def write_sarif(path: str, reports: Iterable[LintReport]) -> Dict:
     """Serialise *reports* to *path* and return the document."""
-    document = reports_to_sarif(reports, tool_name=tool_name)
+    document = reports_to_sarif(reports)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -302,15 +302,12 @@ class JobScheduler:
                     "execute", parent=job.trace,
                     attributes={"job": job.job_id, "specs": job.total},
                 )
-            # Thread the trace only while recording, so engine stand-ins
-            # built against the pre-span run_many signature keep working.
-            extra = {"trace": execute.context} if execute is not None else {}
             results = self.engine.run_many(
                 job.specs,
                 on_error="record",
                 progress=on_progress,
                 timeout=job.timeout,
-                **extra,
+                trace=execute.context if execute is not None else None,
             )
             if recorder is not None:
                 recorder.finish(execute)
@@ -333,9 +330,7 @@ class JobScheduler:
                     self._lint_spec(spec)
                     check_result(result, label=spec.label())
                 self._fold_availability(getattr(result, "stats", None))
-                payload = result.to_dict()
-                payload["predicted"] = self._predict_spec(spec)
-                payloads.append(payload)
+                payloads.append(result.to_dict())
             if serialize is not None:
                 recorder.finish(serialize)
                 serialize = None
@@ -395,28 +390,6 @@ class JobScheduler:
             "serve.lifecycle.downtime_cycles",
             help="Outage + repair cycles across all served results",
         ).inc(stats.lifecycle_downtime_cycles)
-
-    def _predict_spec(self, spec) -> Optional[Dict]:
-        """The ``predicted`` block for one result payload: static
-        run-length/switch/utilization bounds for the program the spec
-        ran (:mod:`repro.lint.predict`, memoised per (app, model,
-        shape)).  ``None`` when the predictor cannot analyse the
-        program — prediction must never fail serving."""
-        from repro.lint import predict_spec_cached
-
-        try:
-            return predict_spec_cached(
-                spec.app,
-                spec.model,
-                spec.processors,
-                spec.level,
-                spec.scale,
-                spec.effective_latency,
-                spec.machine_config().forced_switch_interval,
-                spec.effective_code_model.value,
-            ).to_dict()
-        except Exception:  # noqa: BLE001 - advisory output only
-            return None
 
     def _lint_spec(self, spec) -> None:
         """Part of the check oracle: statically verify the program a

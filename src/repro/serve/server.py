@@ -10,10 +10,11 @@ Endpoints (JSON in, JSON out, ``/metrics`` excepted):
   events.
 * ``GET /v1/jobs/<id>/result`` — the per-spec result payloads
   (:meth:`SimulationResult.to_dict` exactly as a direct
-  :func:`repro.api.simulate` would return, plus a ``predicted`` block
-  of static performance bounds from :mod:`repro.lint.predict`); 202
-  while pending, 500 for failed jobs.
-* ``GET /healthz`` — liveness + queue/job counts + engine report.
+  :func:`repro.api.simulate` would return); 202 while pending, 500 for
+  failed jobs.
+* ``GET /healthz`` — liveness + queue/job counts + engine report
+  (including the static performance bounds, ``predicted``, of every
+  program the engine ran).
 * ``GET /metrics`` — Prometheus text exposition
   (:meth:`MetricsRegistry.to_prometheus`).
 * ``POST /v1/shutdown`` — graceful drain then exit (also ``SIGTERM``).

@@ -11,8 +11,9 @@ Two layers (DESIGN §5j):
   addressable like built-in apps via ``synth:<seed>[:<preset>]``.
 * :mod:`repro.synth.fuzz` — a differential harness running each kernel
   under all 8 switch models × both execution backends, cross-checking
-  the :mod:`repro.check` conservation oracles plus the cross-model
-  invariants of :mod:`repro.check.crossmodel`, with a shrinking pass
+  the :mod:`repro.check` conservation oracles, the cross-model
+  invariants of :mod:`repro.check.crossmodel` and the static
+  predictor's bounds (:mod:`repro.lint.predict`), with a shrinking pass
   that reduces failures to minimal JSON repro bundles.
 
 CLI: ``repro-fuzz`` (see :mod:`repro.synth.cli`).

@@ -75,7 +75,7 @@ def _cmd_selftest(args) -> int:
     except SelfTestError as error:
         print(f"repro-fuzz: {error}", file=sys.stderr)
         return 1
-    for name, entry in sorted(report.items()):
+    for name, entry in report.items():
         print(
             f"[selftest] {name}: caught as {entry['invariant']!r}, "
             f"shrunk {entry['original_segments']} -> "
@@ -170,7 +170,7 @@ def main(argv=None) -> int:
         description=(
             "Differential fuzzing: generated kernels across every switch "
             "model and backend, cross-checked against conservation and "
-            "inter-model invariants."
+            "inter-model invariants and the static predictor's bounds."
         ),
     )
     parser.add_argument(

@@ -3,7 +3,7 @@
 One fuzz *seed* is one experiment: generate a kernel
 (:mod:`repro.synth.generator`), lint it for every switch model, run it
 across the full grid of switch models × execution backends, and judge
-the grid against three layers of oracles —
+the grid against four layers of oracles —
 
 1. the kernel's own reference result (the generator's evaluator knows
    the exact final memory image, checked per run);
@@ -11,7 +11,12 @@ the grid against three layers of oracles —
 3. the cross-model invariants of
    :func:`repro.check.cross_model_violations` (model-independent memory,
    traffic, instruction counts; bit-identical backends), including the
-   per-thread retired-instruction law measured by an attached tracer.
+   per-thread retired-instruction law measured by an attached tracer;
+4. the static predictor's bounds (:mod:`repro.lint.predict`): on a
+   fault-free grid every result must land inside its model's predicted
+   run-length, switch-count and utilization windows
+   (:func:`repro.lint.validate.prediction_violations`) — checked on the
+   runs the grid already made, so it adds no simulation.
 
 A failing seed is *shrunk*: delta debugging over the plan's top-level
 segments (:func:`repro.synth.generator.shrink_segments`) finds a minimal
@@ -23,11 +28,13 @@ and the first violated invariant — which :func:`replay_bundle` (and
 :func:`run_selftest` closes the loop on the harness itself, mirroring
 :mod:`repro.lint.mutations`: it injects deliberate bugs (a store to the
 wrong slot, a stale expected-result oracle, ungrouped code slipped under
-the explicit-switch model) and proves each one is caught *and* shrunk.
+the explicit-switch model, and five unsound predictor outputs, one per
+``predict-*`` invariant) and proves each one is caught *and* shrunk.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 from pathlib import Path
@@ -38,6 +45,8 @@ from repro.check import Violation, cross_model_violations, result_violations
 from repro.compiler.passes import prepare_for_model
 from repro.faults.config import FaultConfig, LifecycleConfig
 from repro.isa.opcodes import Op
+from repro.lint.predict import predict_prepared
+from repro.lint.validate import prediction_violations
 from repro.machine.config import MachineConfig
 from repro.machine.models import SwitchModel
 from repro.obs.tracer import Tracer
@@ -404,7 +413,46 @@ def _grid_violations(
             per_thread=counts,
         )
     )
+    if not options.faulty:  # the bounds assume a fault-free machine
+        violations.extend(
+            _prediction_violations(app, grid, options, program_overrides)
+        )
     return violations, runs
+
+
+def _prediction_violations(
+    app: BuiltApp,
+    grid: Mapping[str, Mapping[str, object]],
+    options: FuzzOptions,
+    program_overrides: Optional[Mapping[str, object]] = None,
+) -> List[Violation]:
+    """Every ``predict-*`` escape of the grid's results: one static
+    prediction per model, checked against each backend's result.  A
+    model whose program was overridden is skipped — the bounds describe
+    the properly prepared code.  Generated kernels lint clean by
+    construction, so the run-length floor binds everywhere."""
+    overrides = program_overrides or {}
+    violations: List[Violation] = []
+    for model, cells in grid.items():
+        if model in overrides:
+            continue
+        resolved = SwitchModel(model)
+        config = _machine_config(model, options)
+        prediction = predict_prepared(
+            prepare_for_model(app.program, resolved),
+            resolved,
+            latency=config.latency,
+            processors=options.processors,
+            level=options.level,
+            forced_interval=config.forced_switch_interval,
+        )
+        for backend, result in cells.items():
+            violations.extend(
+                prediction_violations(
+                    prediction, result, where=f"{model}/{backend}"
+                )
+            )
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -733,36 +781,74 @@ MUTATIONS: Dict[str, Callable] = {
     "ungrouped-explicit-code": _mutate_ungrouped_explicit,
 }
 
+#: Predictor-bug stand-ins: the invariant that must catch each, and the
+#: prediction fields it overwrites with an unsound value.
+DOCTORS: Dict[str, Tuple[str, Dict[str, object]]] = {
+    "run-max-unsound": ("predict-run-max", {"run_max": 1}),
+    "run-min-unsound": ("predict-run-min", {"run_min": 10**9}),
+    "switch-max-unsound": ("predict-switch-max", {"switch_max": 0}),
+    "switch-min-unsound": ("predict-switch-min", {"switch_min": 10**9}),
+    "utilization-unsound": (
+        "predict-utilization", {"utilization_bound": 1e-4}
+    ),
+}
+
+
+@contextlib.contextmanager
+def _doctored(fields: Mapping[str, object]):
+    """Predictor-bug stand-in: while active, every prediction the grid
+    checks has *fields* overwritten."""
+    global predict_prepared
+    honest = predict_prepared
+
+    def doctored(*args, **kwargs):
+        return dataclasses.replace(honest(*args, **kwargs), **fields)
+
+    predict_prepared = doctored
+    try:
+        yield
+    finally:
+        predict_prepared = honest
+
 
 def run_selftest(
     seed: int = 3, preset: str = "quick", options: Optional[FuzzOptions] = None
 ) -> Dict:
-    """Inject each deliberate bug, assert the harness catches it, and
-    assert the shrinker reduces it to a no-larger reproducer.  Returns a
-    per-mutation report; raises :class:`SelfTestError` on any miss."""
+    """Inject each deliberate bug, assert the harness catches it (a
+    predictor bug by its own ``predict-*`` invariant), and assert the
+    shrinker reduces it to a no-larger reproducer.  Returns a per-bug
+    report, functional bugs first; raises :class:`SelfTestError` on any
+    miss."""
     base = options or FuzzOptions()
     options = dataclasses.replace(base, use_engine=False, per_thread=True)
     cfg = get_preset(preset)
     plan = generate_plan(seed, cfg)
     original_segments = len(plan_segment_ids(plan))
+    bugs = [
+        (name, mutate, None, contextlib.nullcontext())
+        for name, mutate in sorted(MUTATIONS.items())
+    ] + [
+        (name, _default_build, expected, _doctored(fields))
+        for name, (expected, fields) in sorted(DOCTORS.items())
+    ]
     report: Dict[str, Dict] = {}
     problems: List[str] = []
-    for name, mutate in sorted(MUTATIONS.items()):
-        app, overrides = mutate(plan, options.nthreads)
-        violations, _ = _grid_violations(
-            plan, app, options, program_overrides=overrides
-        )
-        if not violations:
-            problems.append(f"{name}: injected bug produced no violation")
-            report[name] = {"caught": False}
-            continue
-        invariant = violations[0].invariant
-        shrunk = shrink_plan(
-            plan,
-            invariant,
-            options,
-            build=lambda p, n, _mutate=mutate: _mutate(p, n),
-        )
+    for name, build, expected, injected in bugs:
+        with injected:
+            app, overrides = build(plan, options.nthreads)
+            violations, _ = _grid_violations(
+                plan, app, options, program_overrides=overrides
+            )
+            if not violations:
+                problems.append(f"{name}: injected bug produced no violation")
+                report[name] = {"caught": False}
+                continue
+            invariant = violations[0].invariant
+            if expected is not None and invariant != expected:
+                problems.append(
+                    f"{name}: caught as {invariant}, expected {expected}"
+                )
+            shrunk = shrink_plan(plan, invariant, options, build=build)
         shrunk_segments = len(plan_segment_ids(shrunk))
         if shrunk_segments > original_segments:
             problems.append(

@@ -1,4 +1,5 @@
-"""The repro-analyze CLI and the predicted blocks in engine/serve."""
+"""The repro-analyze CLI, the engine's predicted block, and served
+results that carry none."""
 
 import dataclasses
 import json
@@ -48,19 +49,6 @@ def test_analyze_validate_gate_passes(capsys):
     assert "apps: 2 cell(s), 0 violation(s)" in err
 
 
-def test_analyze_synth_seed_gate_passes(capsys):
-    assert main(["sieve", "--model", "sol", "--seeds", "2"]) == 0
-    err = capsys.readouterr().err
-    assert "synth: 2 seed(s), 0 failure(s)" in err
-
-
-def test_analyze_selftest(capsys):
-    assert main(["--selftest"]) == 0
-    captured = capsys.readouterr()
-    assert "selftest passed: 3 unsound bound(s)" in captured.err
-    assert "run-max-unsound: predict-run-max" in captured.out
-
-
 def test_analyze_catches_unsound_predictor(monkeypatch, capsys):
     import repro.lint.validate as validate
 
@@ -95,11 +83,17 @@ def test_engine_report_carries_predictions():
         engine.close()
 
 
-def test_scheduler_attaches_predicted_block():
+def test_served_results_carry_no_prediction(monkeypatch):
+    """Nothing reads a per-result prediction, so the scheduler runs no
+    predictor while serving; ``/healthz`` still reports the engine's."""
     from repro.engine import Engine, RunSpec
     from repro.serve import JobScheduler
 
-    scheduler = JobScheduler(Engine())
+    calls = []
+    monkeypatch.setattr(
+        "repro.lint.predict_spec_cached", lambda *key: calls.append(key)
+    )
+    scheduler = JobScheduler(Engine(workers=1, runlog=False))
     try:
         spec = RunSpec(app="sieve", model="switch-on-load", processors=2,
                        level=2, scale="tiny")
@@ -109,12 +103,7 @@ def test_scheduler_attaches_predicted_block():
             time.sleep(0.01)
         assert job.state.value == "done", job.error
         [payload] = job.results
-        predicted = payload["predicted"]
-        assert predicted["model"] == "switch-on-load"
-        assert predicted["run_min"] >= 1
-        measured = payload["stats"]["switches"]
-        if predicted["switch_max"] is not None:
-            assert measured <= predicted["switch_max"]
-        assert measured >= predicted["switch_min"]
+        assert "predicted" not in payload
+        assert calls == []
     finally:
         scheduler.stop()

@@ -4,7 +4,6 @@ import json
 
 from repro.lint import lint_app_model, lint_program
 from repro.lint.cli import main as lint_main
-from repro.lint.analyze_cli import main as analyze_main
 from repro.lint.diagnostics import Severity
 from repro.lint.mutations import MUTATIONS
 from repro.lint.rules import RULES
@@ -85,14 +84,3 @@ def test_lint_cli_writes_sarif(tmp_path):
     assert code == 0
     loaded = json.loads(path.read_text())
     assert validate_sarif(loaded) == []
-
-
-def test_analyze_cli_writes_sarif(tmp_path):
-    path = tmp_path / "analyze.sarif"
-    code = analyze_main(
-        ["sieve", "--model", "ideal", "--sarif", str(path)]
-    )
-    assert code == 0
-    loaded = json.loads(path.read_text())
-    assert validate_sarif(loaded) == []
-    assert loaded["runs"][0]["tool"]["driver"]["name"] == "repro-analyze"

@@ -1,6 +1,7 @@
 """The differential fuzz harness and the invariant surfaces behind it:
-stable ``Violation`` ids in repro.check, cross-model laws, shrinking,
-repro bundles, corpus files, and the repro-fuzz CLI."""
+stable ``Violation`` ids in repro.check, cross-model laws, the static
+predictor's bounds, shrinking, repro bundles, corpus files, and the
+repro-fuzz CLI."""
 
 import copy
 import dataclasses
@@ -33,8 +34,10 @@ from repro.synth import (
     run_selftest,
     write_bundle,
 )
+import repro.synth.fuzz as fuzz_module
 from repro.synth.cli import main as fuzz_main
 from repro.synth.fuzz import (
+    DOCTORS,
     MUTATIONS,
     SeedOutcome,
     _grid_violations,
@@ -261,6 +264,79 @@ def test_fuzz_many_writes_corpus(tmp_path):
     assert all(e["ok"] for e in entries)
 
 
+def test_synth_seed_campaign_is_sound(tmp_path):
+    """The predictor's bounds hold on generated kernels under every
+    model (checked inside the fuzz grid, next to the other oracles)."""
+    summary = fuzz_many(
+        range(6), options=FuzzOptions(), bundle_dir=tmp_path
+    )
+    assert summary["seeds"] == 6
+    assert summary["failures"] == 0, summary["outcomes"]
+    assert list(tmp_path.iterdir()) == []  # no failure bundles written
+
+
+def _doctor_predictions(monkeypatch, calls=None, **fields):
+    honest = fuzz_module.predict_prepared
+
+    def doctored(*args, **kwargs):
+        if calls is not None:
+            calls.append(args[1])
+        return dataclasses.replace(honest(*args, **kwargs), **fields)
+
+    monkeypatch.setattr(fuzz_module, "predict_prepared", doctored)
+
+
+def test_prediction_adds_no_simulation(monkeypatch):
+    calls = []
+    _doctor_predictions(monkeypatch, calls)
+    options = dataclasses.replace(QUICK, use_engine=False)
+    outcome = fuzz_seed(0, preset="quick", options=options)
+    assert outcome.ok, [v.message for v in outcome.violations]
+    models = len(options.models)
+    # one predicted model per grid row; runs are the grid plus the
+    # per-thread tracer runs, exactly as without the predictor
+    assert sorted(m.value for m in calls) == sorted(options.models)
+    assert outcome.runs == models * len(options.backends) + models
+
+
+def test_prediction_check_skips_faulty_grids_and_overridden_models(
+    monkeypatch,
+):
+    _doctor_predictions(monkeypatch, run_max=1)
+    options = dataclasses.replace(QUICK, use_engine=False)
+    plan = generate_plan(3, get_preset("quick"))
+    app = build_synth_app(plan, options.nthreads)
+    override = {"explicit-switch": app.program}
+    violations, _ = _grid_violations(
+        plan, app, options, program_overrides=override
+    )
+    flagged = {
+        v.message.split("/")[0]
+        for v in violations
+        if v.invariant == "predict-run-max"
+    }
+    assert flagged and "explicit-switch" not in flagged
+    # the bounds assume a fault-free machine: a faulty grid is not checked
+    faulty = dataclasses.replace(options, faults=fault_profile("loss", seed=3))
+    violations, _ = _grid_violations(plan, app, faulty)
+    assert not [v for v in violations if v.invariant.startswith("predict-")]
+
+
+def test_predictor_bug_bundle_replays(monkeypatch, tmp_path):
+    _doctor_predictions(monkeypatch, run_max=1)
+    options = FuzzOptions(models=("switch-on-load",), use_engine=False)
+    outcome = fuzz_seed(3, "quick", options)
+    assert outcome.bundle is not None
+    assert outcome.bundle["invariant"] == "predict-run-max"
+    assert outcome.bundle["shrunk_segments"] <= outcome.bundle[
+        "original_segments"
+    ]
+    replayed = replay_bundle(write_bundle(outcome.bundle, tmp_path))
+    assert [v.invariant for v in replayed.violations][:1] == [
+        "predict-run-max"
+    ]
+
+
 def test_fuzz_options_round_trip():
     options = FuzzOptions(
         models=("eswitch", "cswitch"),  # aliases normalise to value strings
@@ -321,15 +397,34 @@ def test_injected_bug_is_caught_shrunk_and_bundled(tmp_path):
     assert replayed.ok
 
 
-def test_selftest_catches_and_shrinks_every_mutation():
-    report = run_selftest()
-    assert set(report) == set(MUTATIONS)
-    for entry in report.values():
+@pytest.fixture(scope="module")
+def selftest_report():
+    return run_selftest()
+
+
+def test_selftest_catches_and_shrinks_every_mutation(selftest_report):
+    assert list(selftest_report) == sorted(MUTATIONS) + sorted(DOCTORS)
+    for name in MUTATIONS:
+        entry = selftest_report[name]
         assert entry["caught"]
         assert entry["shrunk_segments"] <= entry["original_segments"]
-    invariants = {entry["invariant"] for entry in report.values()}
+    invariants = {selftest_report[name]["invariant"] for name in MUTATIONS}
     assert "functional-check" in invariants
     assert "instructions-grouped-pair" in invariants
+
+
+def test_selftest_catches_and_shrinks_every_doctor(selftest_report):
+    """Every ``predict-*`` invariant has a seeded predictor bug, caught
+    by that invariant and shrunk."""
+    expected = {invariant for invariant, _fields in DOCTORS.values()}
+    assert expected == {
+        "predict-run-max", "predict-run-min", "predict-switch-max",
+        "predict-switch-min", "predict-utilization",
+    }
+    for name, (invariant, _fields) in DOCTORS.items():
+        entry = selftest_report[name]
+        assert entry["caught"] and entry["invariant"] == invariant, name
+        assert entry["shrunk_segments"] <= entry["original_segments"]
 
 
 # -- CLI -----------------------------------------------------------------------
