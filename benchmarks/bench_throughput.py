@@ -17,10 +17,13 @@ backend optimization work, and stays frozen so speedups are measured
 against the interpreter the project started from (see the EXPERIMENTS
 throughput appendix).
 
-Within a single invocation that measures both backends, every cell's
-``SimStats`` are additionally cross-checked for bit-identity — a cheap
-standing instance of the equivalence contract pinned for real by
-``tests/test_jit_equivalence.py``.
+Each cell times its backends back to back, round by round, and keeps
+the best of ``--repeats`` for each, so the live compiled/interpreter
+ratio compares runs made seconds apart rather than two grids made
+minutes apart.  Within a single invocation that measures both backends,
+every cell's ``SimStats`` are additionally cross-checked for
+bit-identity — a cheap standing instance of the equivalence contract
+pinned for real by ``tests/test_jit_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -48,33 +51,38 @@ QUICK_APPS = ("blkmat", "mp3d", "synth:1:dense")
 
 
 def _measure_cell(
-    spec: RunSpec, backend: str, repeats: int
-) -> Dict[str, object]:
-    """Best-of-*repeats* wall seconds for one (app, model, backend) cell."""
+    spec: RunSpec, backends: List[str], repeats: int
+) -> Dict[str, Dict[str, object]]:
+    """Best-of-*repeats* wall seconds for one (app, model) cell on each
+    backend.  Every round times the backends back to back, so a change
+    in machine speed during the invocation hits both sides of their
+    ratio alike."""
     app, program = _build(
         spec.app, spec.total_threads, spec.effective_code_model.value, spec.scale
     )
     config = spec.machine_config()
-    best = math.inf
-    stats = None
-    cycles = 0
+    best = {backend: math.inf for backend in backends}
+    stats: Dict[str, dict] = {}
     for _ in range(repeats):
-        sim = make_simulator(app, config, program=program, backend=backend)
-        start = time.perf_counter()
-        result = sim.run()
-        elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
-        stats = result.stats.to_dict()
-        cycles = stats["wall_cycles"]
-    return {
-        "app": spec.app,
-        "model": spec.model,
-        "wall_cycles": cycles,
-        "seconds": best,
-        "cycles_per_sec": cycles / best if best > 0 else 0.0,
-        "_stats": stats,
-    }
+        for backend in backends:
+            sim = make_simulator(app, config, program=program, backend=backend)
+            start = time.perf_counter()
+            result = sim.run()
+            best[backend] = min(best[backend], time.perf_counter() - start)
+            stats[backend] = result.stats.to_dict()
+    cells = {}
+    for backend in backends:
+        cycles = stats[backend]["wall_cycles"]
+        seconds = best[backend]
+        cells[backend] = {
+            "app": spec.app,
+            "model": spec.model,
+            "wall_cycles": cycles,
+            "seconds": seconds,
+            "cycles_per_sec": cycles / seconds if seconds > 0 else 0.0,
+            "_stats": stats[backend],
+        }
+    return cells
 
 
 def _geomean(values: List[float]) -> float:
@@ -84,7 +92,7 @@ def _geomean(values: List[float]) -> float:
 
 
 def run_grid(
-    backend: str,
+    backends: List[str],
     apps: List[str],
     models: List[str],
     scale: str,
@@ -92,8 +100,9 @@ def run_grid(
     level: int,
     repeats: int,
     verbose: bool = True,
-) -> Dict[str, object]:
-    cells = []
+) -> Dict[str, Dict[str, object]]:
+    """One report per backend over the same grid, cell by cell."""
+    cells: Dict[str, List[Dict]] = {backend: [] for backend in backends}
     for app in apps:
         for model in models:
             spec = RunSpec(
@@ -103,27 +112,30 @@ def run_grid(
                 level=level,
                 scale=scale,
             )
-            cell = _measure_cell(spec, backend, repeats)
-            cells.append(cell)
-            if verbose:
-                print(
-                    f"  {backend:>11s}  {app:>7s} {model:<19s} "
-                    f"{cell['wall_cycles']:>9d} cyc  "
-                    f"{cell['seconds'] * 1e3:8.2f} ms  "
-                    f"{cell['cycles_per_sec'] / 1e6:7.3f} Mcyc/s",
-                    flush=True,
-                )
+            for backend, cell in _measure_cell(spec, backends, repeats).items():
+                cells[backend].append(cell)
+                if verbose:
+                    print(
+                        f"  {backend:>11s}  {app:>7s} {model:<19s} "
+                        f"{cell['wall_cycles']:>9d} cyc  "
+                        f"{cell['seconds'] * 1e3:8.2f} ms  "
+                        f"{cell['cycles_per_sec'] / 1e6:7.3f} Mcyc/s",
+                        flush=True,
+                    )
     return {
-        "benchmark": "throughput",
-        "backend": backend,
-        "scale": scale,
-        "processors": processors,
-        "level": level,
-        "repeats": repeats,
-        "cells": cells,
-        "geomean_cycles_per_sec": _geomean(
-            [c["cycles_per_sec"] for c in cells]
-        ),
+        backend: {
+            "benchmark": "throughput",
+            "backend": backend,
+            "scale": scale,
+            "processors": processors,
+            "level": level,
+            "repeats": repeats,
+            "cells": cells[backend],
+            "geomean_cycles_per_sec": _geomean(
+                [c["cycles_per_sec"] for c in cells[backend]]
+            ),
+        }
+        for backend in backends
     }
 
 
@@ -215,14 +227,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     models = args.models or list_models()
     backends = [resolve_backend(b) for b in args.backends]
 
-    reports: Dict[str, Dict] = {}
-    for backend in backends:
-        print(f"measuring backend={backend} on {len(apps)}x{len(models)} grid "
-              f"(scale={args.scale}, best of {args.repeats})", flush=True)
-        reports[backend] = run_grid(
-            backend, apps, models, args.scale, args.processors,
-            args.level, args.repeats,
-        )
+    print(f"measuring backends={', '.join(backends)} on "
+          f"{len(apps)}x{len(models)} grid (scale={args.scale}, best of "
+          f"{args.repeats}, back to back per cell)", flush=True)
+    reports = run_grid(
+        backends, apps, models, args.scale, args.processors,
+        args.level, args.repeats,
+    )
     _cross_check(reports)
 
     for report in reports.values():

@@ -7,11 +7,12 @@ Two ways to run the same machine:
   cycle; the reference semantics.
 * ``compiled`` — :class:`~repro.jit.driver.CompiledProcessor` dispatching
   per-block Python functions generated by :mod:`repro.jit.codegen`.
-  Compiles each reached block on first dispatch, once per process for
-  every distinct program content, then executes with operands and model
-  decisions pre-resolved.  Compiling costs far more than executing a
-  block does, so on short runs it is most of the time.  Bit-identical
-  SimStats by contract (pinned by ``tests/test_jit_equivalence.py``).
+  Compiles code when a run first reaches it, each region about once per
+  process for every distinct program content and machine variant, then
+  executes with operands and model decisions pre-resolved.  Compiling
+  costs far more than executing a block does, so on short runs it is
+  still most of the time.  Bit-identical SimStats by contract (pinned by
+  ``tests/test_jit_equivalence.py``).
 * ``auto`` — resolves to ``compiled`` (every model/feature is supported;
   the alias exists so callers can opt into "fastest available" without
   naming it).

@@ -4,8 +4,8 @@ The interpreter (:meth:`repro.machine.processor.Processor._burst`)
 re-decodes every instruction on every simulated cycle: opcode range
 checks, operand attribute loads, model branches, tracer ``is None``
 tests.  This module removes all of that by *specializing*: for a given
-finalized program and a given machine variant it emits one plain Python
-function per burst entry point, with
+finalized program and a given machine variant it emits plain Python
+block functions for the code bursts reach, with
 
 * operands resolved to literal register indices and immediates
   (``regs[7] + 12`` instead of ``regs[ins.rs1] + ins.imm``),
@@ -32,18 +32,21 @@ sites mirror specific lines of ``_burst``.  Anything the interpreter
 evaluates for its side effects (a divide-by-zero check on a discarded
 destination, a cache LRU touch) is still evaluated here.
 
-A *block function* covers the instructions from its entry pc up to the
-first unconditional control transfer (or an emission cap) and has the
-signature::
+A *block function* holds a chain of regions, each running from a start
+pc to the first unconditional control transfer (or an emission cap),
+and has the signature::
 
-    fn(proc, thread, t, deadline, run0) -> (outcome, t, pc, n, resume, flush)
+    fn(proc, thread, t, deadline, run0, pc) -> (outcome, t, pc, n, resume, flush)
 
-where *outcome* is one of the interpreter's ``OUT_*`` codes or
-:data:`CONTINUE` (control moved to ``pc`` within the same burst; the
-driver dispatches the next block).  Blocks are compiled lazily, on first
-dispatch, because any pc can become a burst entry (deadline pauses and
-mid-block switch resumes land anywhere); compiling only reached entries
-keeps compile time proportional to the executed footprint.
+where the argument *pc* names the region to start in and *outcome* is
+one of the interpreter's ``OUT_*`` codes or :data:`CONTINUE` (control
+moved to ``pc`` within the same burst; the driver dispatches the next
+block).  Functions compile lazily, on the first dispatch of a pc that no
+function serves, because any pc can become a burst entry (deadline
+pauses and mid-block switch resumes land anywhere).  A new function also
+serves other regions it holds, and later functions end at any pc that
+one already serves, so a region compiles about once per variant, not
+once for every entry that reaches it.
 """
 
 from __future__ import annotations
@@ -138,7 +141,8 @@ class CompiledProgram:
     """
 
     __slots__ = ("name", "code", "model", "traced", "oracle_on", "cached",
-                 "faulted", "funcs", "compiled_blocks", "compile_seconds")
+                 "faulted", "funcs", "loop_of", "headers", "compiled_blocks",
+                 "compile_seconds")
 
     def __init__(self, program, model: int, traced: bool, oracle_on: bool,
                  cached: bool, faulted: bool):
@@ -152,8 +156,10 @@ class CompiledProgram:
         self.oracle_on = oracle_on
         self.cached = cached
         self.faulted = faulted
-        #: One slot per instruction; populated on first dispatch.
+        #: One slot per instruction: the function that serves a dispatch
+        #: there, or None until one does.
         self.funcs: List[Optional[object]] = [None] * len(self.code)
+        self.loop_of, self.headers = _loop_shape(self.code)
         self.compiled_blocks = 0
         #: Wall-clock seconds spent generating + exec'ing block code
         #: (feeds the ``jit-compile`` span; only the cold compile branch
@@ -161,12 +167,14 @@ class CompiledProgram:
         self.compile_seconds = 0.0
 
     def ensure(self, pc: int):
-        """Compile (if needed) and return the block function entered at *pc*."""
+        """Compile (if needed) and return the block function entered at
+        *pc*, installing a new one at every region start it serves."""
         fn = self.funcs[pc]
         if fn is None:
             started = time.perf_counter()
-            fn = _compile_entry(self, pc)
-            self.funcs[pc] = fn
+            fn, shares = _compile_entry(self, pc)
+            for start in shares:  # each one still unserved
+                self.funcs[start] = fn
             self.compiled_blocks += 1
             self.compile_seconds += time.perf_counter() - started
         return fn
@@ -218,7 +226,7 @@ def compiled_for(program, model: int, traced: bool, oracle_on: bool,
     program cache (:func:`repro.engine.executor._build`) builds a new
     :class:`~repro.isa.program.Program` for every thread count, and all
     of a level sweep's programs lower to the same code, so they resolve
-    to one table and each block is compiled once per process.
+    to one table and share the code compiled into it.
     """
     variants = _variants_for(program)
     key = (model, traced, oracle_on, cached, faulted)
@@ -241,13 +249,34 @@ def compile_seconds_for(program) -> float:
 
 
 def _compile_entry(cp: CompiledProgram, entry: int):
-    source = _Emitter(cp, entry).emit()
+    """The new block function entered at *entry*, and the region starts
+    it serves."""
+    emitter = _Emitter(cp, entry)
+    source = emitter.emit()
     namespace = {"math": math, "ExecutionError": ExecutionError, "OPS": _OPS,
                  "heappush": heappush}
     exec(compile(source, f"<jit:{cp.name}@{entry}>", "exec"), namespace)
     # Popped, so the function and its globals form no reference cycle and
     # a block is freed with the last program that holds its table.
-    return namespace.pop("_block")
+    return namespace.pop("_block"), emitter.shares
+
+
+def _loop_shape(code) -> Tuple[dict, frozenset]:
+    """Every branch and jump target, mapped to the header of the innermost
+    loop around it that fits in one function (None if there is none), and
+    the loop headers: the targets of backward branches and jumps."""
+    ends = {}
+    targets = set()
+    for i, ins in enumerate(code):
+        v = int(ins.op)
+        if _FP_MAX < v <= _BR_MAX or ins.op is Op.J or ins.op is Op.JAL:
+            targets.add(ins.target)
+            if ins.target <= i:  # a back branch; the last one ends the loop
+                ends[ins.target] = i
+    loops = [(h, b) for h, b in ends.items() if b - h < MAX_EMIT]
+    inner = {s: max((h for h, b in loops if h < s <= b), default=None)
+             for s in targets}
+    return inner, frozenset(ends)
 
 
 def _literal(value) -> str:
@@ -281,6 +310,8 @@ class _Emitter:
         self.entry = entry
         self.lines: List[object] = []
         self.targets: List[int] = []
+        #: The region starts the new function serves (see :meth:`emit`).
+        self.shares: List[int] = []
         self.need = set()
         # IDEAL's burst boundaries are fairness yields, not pauses.
         self.pause_out = OUT_YIELD if cp.model == M_IDEAL else OUT_PAUSE
@@ -753,9 +784,15 @@ class _Emitter:
         code = self.cp.code
         end = min(len(code), start + limit)
         i = start
-        while i < end and self._fast_eligible(code[i]):
+        while (i < end and self._fast_eligible(code[i])
+               and not self._served(i, start)):
             i += 1
         return i - start
+
+    def _served(self, pc: int, start: int) -> bool:
+        """Whether a region from *start* ends before *pc* because an
+        earlier function already serves it."""
+        return pc != start and self.cp.funcs[pc] is not None
 
     def _emit_fast(self, start: int, length: int, n: int, ind: int) -> int:
         """Emit a grouped run; returns the new executed-instruction count.
@@ -819,6 +856,9 @@ class _Emitter:
                 self.use("code")
                 self.w(0, f"_ = code[{pc}]")
                 return budget
+            if self._served(pc, start):
+                self._goto(0, pc, n)
+                return budget
             if budget <= 0:
                 self.w(0, f"return {CONTINUE}, t, {pc}, {self._nx(n)}, 0, 0")
                 return 0
@@ -840,17 +880,29 @@ class _Emitter:
         """Assemble the block function: a region state machine.
 
         The entry region plus (budget permitting) the regions for every
-        compile-time-known branch/jump target it can reach are emitted
-        into one function body, inside ``while True:``.  A transfer to
-        an in-function region is ``_pc = target; continue`` — re-running
-        that region's own guards at its top, exactly as a fresh dispatch
-        would — so loops (including multi-block loops) iterate without
-        bouncing through the dispatch loop.  Transfers to targets left
-        out of the function return ``CONTINUE`` and the driver picks the
-        next block.  With a single region the ``_pc`` dispatch collapses
-        to a bare loop.
+        compile-time-known branch/jump target it can reach that no
+        earlier function serves are emitted into one function body,
+        inside ``while True:``, which starts in the region its ``_pc``
+        argument names.  A transfer to an in-function region is ``_pc =
+        target; continue`` — re-running that region's own guards at its
+        top, exactly as a fresh dispatch would — so loops (including
+        multi-block loops) iterate without bouncing through the dispatch
+        loop.  Transfers to targets left out of the function return
+        ``CONTINUE`` and the driver picks the next block.  The ``_pc``
+        chain tests loop headers first, innermost (highest pc) first,
+        since the function is entered at any of its regions and a hot
+        loop need not be the entry.  With a single region the ``_pc``
+        dispatch collapses to a bare loop.
+
+        The function serves its entry and each other region it emitted
+        whole whose innermost loop that fits one function has its header
+        served, here or earlier (:attr:`shares`).  Serving part of a
+        loop whose header is still free would make the function that
+        later takes the header bounce through this one every iteration.
         """
+        cp = self.cp
         regions: List[Tuple[int, List[object]]] = []
+        funcs = cp.funcs
         seen = {self.entry}
         pending = [self.entry]
         budget = MAX_EMIT
@@ -860,12 +912,21 @@ class _Emitter:
             budget = self._emit_region(start, budget)
             regions.append((start, self.lines))
             for target in self.targets:
-                if target not in seen:
+                if target not in seen and funcs[target] is None:
                     seen.add(target)
                     pending.append(target)
             self.targets = []
+        cut = regions[-1][0] if budget <= 0 else None  # ran out in it
+        regions.sort(key=lambda region: (
+            -region[0] if region[0] in cp.headers else 1))
 
         included = {start for start, _ in regions}
+        for start in sorted(included):
+            loop = cp.loop_of.get(start)
+            if start == self.entry or (start != cut and (
+                    loop is None or loop in self.shares
+                    or funcs[loop] is not None)):
+                self.shares.append(start)
         multi = len(regions) > 1
         base = 3 if multi else 2
 
@@ -918,9 +979,7 @@ class _Emitter:
         for name, _stmt, _prereqs in _PREAMBLE:
             if name in self.need:
                 hoist(name)
-        header = ["def _block(proc, thread, t, deadline, run0):"]
+        header = ["def _block(proc, thread, t, deadline, run0, _pc):"]
         prologue.append("    _n = 0")
-        if multi:
-            prologue.append(f"    _pc = {self.entry}")
         prologue.append("    while True:")
         return "\n".join(header + prologue + body) + "\n"

@@ -1,10 +1,10 @@
 """The compiled backend's processor: block dispatch over generated code.
 
 :class:`CompiledProcessor` is a drop-in :class:`~repro.machine.processor.
-Processor` whose ``_burst`` dispatches pre-compiled block functions
-(:mod:`repro.jit.codegen`) instead of interpreting instruction by
-instruction.  Everything around the hot loop — event entry points,
-round-robin scheduling, the NACK/retry protocol, switch-every-cycle's
+Processor` whose fused ``dispatch_event`` dispatches pre-compiled block
+functions (:mod:`repro.jit.codegen`) instead of interpreting instruction
+by instruction.  Everything around the hot loop — round-robin
+scheduling, the NACK/retry protocol, switch-every-cycle's
 one-instruction bursts — is inherited unchanged, and the burst
 bookkeeping below is a line-for-line copy of the interpreter's, so the
 two backends produce bit-identical :class:`~repro.machine.stats.SimStats`
@@ -39,30 +39,26 @@ class CompiledProcessor(Processor):
         cache: Optional[Cache],
     ):
         super().__init__(sim, pid, threads, cache)
-        if self._sec:
-            # Switch-every-cycle runs one-instruction bursts: block
-            # dispatch has nothing to amortize its per-call preamble
-            # over, so the interpreter's per-instruction path is the
-            # faster engine.  Bind it as the burst used by the inherited
-            # ``_burst_sec`` wrapper (trivially bit-identical).
-            self._burst = super()._burst
-            self._compiled = None
-            self._funcs = None
-            return
-        self._compiled = compiled_for(
-            sim.program,
-            model=self.model,
-            traced=sim.tracer is not None,
-            oracle_on=self.oracle is not None,
-            cached=cache is not None,
-            faulted=sim._fault_plan is not None,
-        )
-        self._funcs = self._compiled.funcs
+        # Switch-every-cycle runs one-instruction bursts: block dispatch
+        # has nothing to amortize its per-call preamble over, so the
+        # interpreter's per-instruction path, reached through the
+        # inherited ``dispatch_event``, is the faster engine (and
+        # trivially bit-identical).
+        if not self._sec:
+            self._compiled = compiled_for(
+                sim.program,
+                model=self.model,
+                traced=sim.tracer is not None,
+                oracle_on=self.oracle is not None,
+                cached=cache is not None,
+                faulted=sim._fault_plan is not None,
+            )
+            self._funcs = self._compiled.funcs
 
     def dispatch_event(self, now: int, _arg=None) -> None:
         """Heap event: one burst, bookkeeping, and rescheduling, fused.
 
-        Folds ``Processor.dispatch_event`` + :meth:`_burst` into a
+        Folds ``Processor.dispatch_event`` + ``Processor._burst`` into a
         single frame — block dispatch is the compiled backend's hot
         path, and the stage-to-stage call overhead is measurable at one
         dispatch per burst.  Every bookkeeping and scheduling statement
@@ -84,7 +80,8 @@ class CompiledProcessor(Processor):
             fn = funcs[pc]
             if fn is None:
                 fn = self._compiled.ensure(pc)
-            outcome, t, pc, n, resume, flush = fn(self, thread, t, deadline, run0)
+            outcome, t, pc, n, resume, flush = fn(
+                self, thread, t, deadline, run0, pc)
             n_instr += n
             if outcome != CONTINUE:
                 break
@@ -136,67 +133,3 @@ class CompiledProcessor(Processor):
             heappush(sim._heap, (t, 2, seq, self.dispatch_event, None))
         else:
             self._schedule_next(t)
-
-    def _burst(self, thread: ThreadContext, now: int):
-        """Dispatch block functions until a burst-ending outcome.
-
-        Mirrors ``Processor._burst``: the block functions carry the
-        per-instruction semantics; this loop carries the burst state and
-        the (identical) end-of-burst bookkeeping.  The fused
-        :meth:`dispatch_event` above is the hot entry; this method stays
-        the standalone burst engine (and the ``_burst_sec`` callee).
-        """
-        funcs = self._funcs
-        ensure = self._compiled.ensure
-
-        t = now
-        deadline = now + self.burst_limit
-        pc = thread.pc
-        run0 = thread.run_cycles - now  # run length = run0 + t at any point
-        n_instr = 0
-
-        while True:
-            fn = funcs[pc]
-            if fn is None:
-                fn = ensure(pc)
-            outcome, t, pc, n, resume, flush = fn(self, thread, t, deadline, run0)
-            n_instr += n
-            if outcome != CONTINUE:
-                break
-
-        # -- burst bookkeeping (verbatim from the interpreter) ----------------
-        sim = self.sim
-        stats = sim.stats
-        tracer = sim.tracer
-        elapsed = t - now
-        self.busy_cycles += elapsed
-        stats.busy_cycles += elapsed
-        stats.instructions += n_instr
-        thread.pc = pc
-
-        if outcome == OUT_SWITCH:
-            stats.switches += 1
-            run = run0 + t  # inlined stats.record_run
-            if run > 0:
-                stats.run_lengths[run] += 1
-            thread.run_cycles = 0
-            thread.resume_time = resume
-            if tracer is not None:
-                tracer.switch_taken(t, self.pid, thread.tid, resume)
-            if flush:
-                stats.switch_overhead_cycles += flush
-                return OUT_SWITCH, t + flush
-            return OUT_SWITCH, t
-        if outcome == OUT_HALT:
-            stats.record_run(run0 + t)
-            thread.run_cycles = 0
-            thread.halted = True
-            thread.halt_time = t
-            sim.thread_halted(t)
-            if tracer is not None:
-                tracer.thread_halt(t, self.pid, thread.tid)
-            return OUT_HALT, t
-        # PAUSE / YIELD: the run continues across the boundary.
-        thread.run_cycles = run0 + t
-        thread.resume_time = resume
-        return outcome, t

@@ -15,10 +15,14 @@ never hands one program code compiled for a different one:
 * the committed golden fixture (``tests/data/golden_stats.json``) plus
   the :mod:`repro.check` result oracles, so the compiled backend is
   anchored to the same pre-fault baseline as the interpreter, not just
-  to whatever the interpreter does today.
+  to whatever the interpreter does today;
+* the full grid again, with a random third of each program's pcs
+  compiled first in random order, because which function ends up
+  serving a region depends on the order entries are first reached.
 """
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -83,6 +87,37 @@ def test_grid_cell_is_bit_identical(app, model):
         f"{app}/{model}: compiled SimStats diverge from the interpreter"
     )
     assert interpreted.wall_cycles == compiled.wall_cycles
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("app", APPS)
+def test_entry_order_does_not_change_results(app, model):
+    """Compiling a seeded random third of the pcs, in random order,
+    before the run changes which function serves which region, and
+    must not change the results.  The program is built afresh (not
+    ``_build``'s cached one) on an empty table of its own, so no other
+    test's compiled code is reused."""
+    spec = RunSpec(app=app, model=model, processors=2, level=4, scale="tiny")
+    shape = (spec.app, spec.total_threads, spec.effective_code_model.value,
+             spec.scale, True)
+    built, program = _build.__wrapped__(*shape)
+    program._jit_variants = {}
+    sim = make_simulator(built, spec.machine_config(), program=program,
+                         backend="compiled")
+    rng = random.Random(f"{app}/{model}")
+    for compiled in program._jit_variants.values():
+        pcs = list(range(len(compiled.funcs)))
+        rng.shuffle(pcs)
+        for pc in pcs[:len(pcs) // 3]:
+            compiled.ensure(pc)
+    result = sim.run()
+    if built.check is not None:
+        built.check(result.shared)
+    interpreted = _stats_for(spec, "interpreter")
+    assert result.stats.to_dict() == interpreted.stats.to_dict(), (
+        f"{app}/{model}: results depend on the order entries compile"
+    )
+    assert result.wall_cycles == interpreted.wall_cycles
 
 
 @pytest.mark.parametrize("model", FAULT_MODELS)
@@ -169,6 +204,35 @@ def test_identical_programs_share_compiled_blocks():
     interpreted = run_program(assemble(text), backend="interpreter", **shape)
     assert compiled.stats.to_dict() == interpreted.stats.to_dict()
     assert compiled.wall_cycles == interpreted.wall_cycles
+
+
+def test_loop_header_shares_the_function_that_first_reached_it():
+    """Under switch-on-load each load ends a burst, so the burst resumed
+    after the second load is the first to reach the loop header through
+    the back branch.  Its function serves the header too: the next
+    iteration, and any later entry there, runs code compiled once.  The
+    program gets an empty table of its own."""
+    text = """
+        li   r9, 4
+    loop:
+        lws  r10, 0(r0)
+        lws  r11, 1(r0)
+        addi r9, r9, -1
+        add  r12, r10, r11
+        bgt  r9, r0, loop
+        halt
+    """
+    header, entry = 1, 3  # the first load; the pc after the second
+    program = assemble(text)
+    program._jit_variants = {}
+    shape = dict(model=SwitchModel.SWITCH_ON_LOAD, threads=2)
+    compiled = run_program(program, backend="compiled", **shape)
+    (table,) = program._jit_variants.values()
+    assert table.funcs[entry] is not None
+    assert table.funcs[header] is table.funcs[entry]
+
+    interpreted = run_program(assemble(text), backend="interpreter", **shape)
+    assert compiled.stats.to_dict() == interpreted.stats.to_dict()
 
 
 def test_float_immediates_store_what_the_interpreter_stores():
