@@ -58,30 +58,30 @@ def _cmd_submit(args) -> int:
     except ValueError as error:
         print(f"repro-serve: {error}", file=sys.stderr)
         return 2
-    client = Client(args.url)
-    accepted = client.submit(spec, retries=args.retries)
-    print(
-        f"[serve] job {accepted['job']} "
-        f"({'coalesced' if accepted['coalesced'] else 'admitted'})",
-        file=sys.stderr,
-    )
-    if args.no_wait:
-        print(json.dumps(accepted, indent=2))
-        return 0
-    results = client.result(accepted, timeout=args.wait_timeout)
+    with Client(args.url) as client:
+        accepted = client.submit(spec, retries=args.retries)
+        print(
+            f"[serve] job {accepted['job']} "
+            f"({'coalesced' if accepted['coalesced'] else 'admitted'})",
+            file=sys.stderr,
+        )
+        if args.no_wait:
+            print(json.dumps(accepted, indent=2))
+            return 0
+        results = client.result(accepted, timeout=args.wait_timeout)
     print(json.dumps(results[0] if len(results) == 1 else results, indent=2))
     return 0
 
 
 def _cmd_status(args) -> int:
-    client = Client(args.url)
-    print(json.dumps(client.status(args.job), indent=2))
+    with Client(args.url) as client:
+        print(json.dumps(client.status(args.job), indent=2))
     return 0
 
 
 def _cmd_shutdown(args) -> int:
-    client = Client(args.url)
-    print(json.dumps(client.shutdown(), indent=2))
+    with Client(args.url) as client:
+        print(json.dumps(client.shutdown(), indent=2))
     return 0
 
 
@@ -199,7 +199,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # pragma: no cover - `... | head`
         sys.stderr.close()
         return 0
-    except OSError as error:  # URLError subclasses OSError
+    except OSError as error:  # every transport failure is an OSError
         print(f"repro-serve: cannot reach server: {error}", file=sys.stderr)
         return 1
 

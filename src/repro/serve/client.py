@@ -1,4 +1,4 @@
-"""Blocking HTTP client for the simulation service (stdlib ``urllib``).
+"""Blocking HTTP client for the simulation service (stdlib ``http.client``).
 
 ::
 
@@ -13,14 +13,31 @@
 dictionary, or a list of either; results come back as the server's
 per-spec :meth:`SimulationResult.to_dict` payloads, byte-identical to a
 direct :func:`repro.api.simulate` of the same specs.
+
+Transport: each calling thread keeps one kept-alive HTTP/1.1 connection
+(a ``threading.local``), so one thread's blocking wait never delays
+another thread's request.  A reused connection the server has closed
+(across a server restart, say) is retried once on a fresh one; that
+is safe even for ``POST /v1/jobs``, whose job ids are content-derived.
+Every transport failure is an :class:`OSError`.
+
+:meth:`Client.wait` and ``result(wait=True)`` make one request per job:
+``GET /v1/jobs/<id>[/result]?wait=S`` holds the reply on the server until
+the job settles.  S is half the client's socket timeout (the server caps
+it at :data:`repro.serve.server.MAX_WAIT_S`), so the reply always comes
+before the socket gives up.  ``poll`` is only the pause before asking
+again when the server answers while the job is still pending: the hold
+ran out, the server is shutting down, or it predates ``?wait``.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import math
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.engine.spec import RunSpec
@@ -28,6 +45,9 @@ from repro.obs.spans import SpanContext, new_span_id, new_trace_id
 from repro.obs.spans import active as active_spans
 
 SpecLike = Union[RunSpec, Dict]
+
+#: Job states a held ``GET`` may still answer with.
+_PENDING = ("queued", "running")
 
 
 class ServeError(RuntimeError):
@@ -78,8 +98,13 @@ class Client:
 
     def __init__(self, base_url: str, timeout: float = 30.0, spans=None):
         self.base_url = base_url.rstrip("/")
+        parts = urllib.parse.urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.netloc:
+            raise ValueError(f"expected an http:// URL, got {base_url!r}")
+        self._netloc, self._prefix = parts.netloc, parts.path
         self.timeout = timeout
         self.spans = active_spans(spans)
+        self._local = threading.local()
 
     # -- transport -------------------------------------------------------------
 
@@ -98,27 +123,88 @@ class Client:
         request_headers = {"Content-Type": "application/json"} if data else {}
         if headers:
             request_headers.update(headers)
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=data,
-            method=method,
-            headers=request_headers,
-        )
+        reused = getattr(self._local, "connection", None) is not None
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as reply:
-                status = reply.status
-                headers = dict(reply.headers.items())
-                raw = reply.read()
-        except urllib.error.HTTPError as error:
-            status = error.code
-            headers = dict(error.headers.items())
-            raw = error.read()
+            reply, raw = self._exchange(method, path, data, request_headers)
+        except ConnectionError:
+            if not reused:
+                raise
+            # The server closed the kept-alive connection (it restarted,
+            # say): once more on a fresh one.
+            reply, raw = self._exchange(method, path, data, request_headers)
+        status = reply.status
+        headers = dict(reply.headers.items())
         content_type = headers.get("Content-Type", "")
         if content_type.startswith("application/json"):
             payload = json.loads(raw.decode("utf-8")) if raw else {}
         else:
             payload = raw.decode("utf-8")
         return status, headers, payload
+
+    def _exchange(self, method, path, data, headers):
+        """One request and its whole reply on this thread's connection;
+        returns ``(response, body bytes)``."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(
+                self._netloc, timeout=self.timeout
+            )
+            self._local.connection = connection
+        try:
+            connection.request(method, self._prefix + path, body=data,
+                               headers=headers)
+            reply = connection.getresponse()
+            raw = reply.read()
+        except BaseException as error:
+            # A half-used connection refuses the next request
+            # (CannotSendRequest), so none outlives a failed one.
+            self.close()
+            if isinstance(error, http.client.HTTPException) and not isinstance(
+                error, OSError
+            ):
+                raise ConnectionError(
+                    f"bad reply from {self.base_url}: {error!r}"
+                ) from error
+            raise
+        if reply.will_close:
+            self.close()
+        return reply, raw
+
+    def _held(self, path: str, timeout: Optional[float], poll: float):
+        """``GET path?wait=S`` until the reply is no longer a pending
+        job's status (see the module docstring); returns
+        ``(HTTP status, payload)``."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            hold = self.timeout / 2 if self.timeout else math.inf
+            if deadline is not None:
+                hold = min(hold, max(0.0, deadline - time.monotonic()))
+            status, _headers, payload = self._request(
+                "GET", f"{path}?wait={hold:g}"
+            )
+            if not isinstance(payload, dict) or payload.get("state") not in _PENDING:
+                return status, payload
+            if deadline is not None and time.monotonic() >= deadline:
+                raise TimeoutError(
+                    f"job {payload.get('job')} still {payload['state']} "
+                    f"after {timeout}s"
+                )
+            time.sleep(poll)
+
+    def close(self) -> None:
+        """Close the calling thread's connection (the next request opens
+        a new one).  Other threads' connections close when their thread
+        or this client goes away."""
+        connection = getattr(self._local, "connection", None)
+        self._local.connection = None
+        if connection is not None:
+            connection.close()
+
+    def __enter__(self) -> "Client":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def _get_json(self, path: str) -> Dict:
         status, _headers, payload = self._request("GET", path)
@@ -197,19 +283,14 @@ class Client:
         timeout: Optional[float] = None,
         poll: float = 0.05,
     ) -> Dict:
-        """Poll until the job settles; returns its final status (raises
-        ``TimeoutError`` if *timeout* seconds elapse first)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            status = self.status(job)
-            if status["state"] in ("done", "failed"):
-                return status
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"job {_job_id(job)} still {status['state']} "
-                    f"after {timeout}s"
-                )
-            time.sleep(poll)
+        """Block until the job settles; returns its final status (raises
+        ``TimeoutError`` if *timeout* seconds elapse first).  The server
+        holds one request until then; *poll* is the pause before asking
+        again if it answers while the job is still pending."""
+        status, payload = self._held(f"/v1/jobs/{_job_id(job)}", timeout, poll)
+        if status >= 400:
+            raise ServeError(status, payload)
+        return payload
 
     def result(
         self,
@@ -219,11 +300,11 @@ class Client:
     ) -> List[Dict]:
         """The job's per-spec result payloads (blocks until settled by
         default); raises :class:`ServeError` for failed jobs."""
+        path = f"/v1/jobs/{_job_id(job)}/result"
         if wait:
-            self.wait(job, timeout=timeout)
-        status, _headers, payload = self._request(
-            "GET", f"/v1/jobs/{_job_id(job)}/result"
-        )
+            status, payload = self._held(path, timeout, poll=0.05)
+        else:
+            status, _headers, payload = self._request("GET", path)
         if status != 200:
             raise ServeError(status, payload)
         return payload["results"]

@@ -264,11 +264,11 @@ class JobScheduler:
         while True:
             with self._wake:
                 while not self._queue and not self._stopped:
-                    if not any(
-                        not job.settled for job in self.jobs.values()
-                    ):
-                        self._idle.set()
-                    self._wake.wait(timeout=0.1)
+                    # Admission enqueues under this lock and only this
+                    # thread runs jobs, so an empty queue here means
+                    # every job has settled.
+                    self._idle.set()
+                    self._wake.wait()
                 if self._stopped and not self._queue:
                     self._idle.set()
                     return

@@ -12,12 +12,19 @@ Endpoints (JSON in, JSON out, ``/metrics`` excepted):
   (:meth:`SimulationResult.to_dict` exactly as a direct
   :func:`repro.api.simulate` would return); 202 while pending, 500 for
   failed jobs.
+* Both job routes take ``?wait=S``: the reply is held until the job
+  settles, S seconds pass (S is clamped to :data:`MAX_WAIT_S`; a
+  non-number is a 400) or the server shuts down, so a client learns
+  the outcome in one request instead of polling.
 * ``GET /healthz`` — liveness + queue/job counts + engine report
   (including the static performance bounds, ``predicted``, of every
   program the engine ran).
 * ``GET /metrics`` — Prometheus text exposition
   (:meth:`MetricsRegistry.to_prometheus`).
 * ``POST /v1/shutdown`` — graceful drain then exit (also ``SIGTERM``).
+
+Connections are HTTP/1.1 and kept alive between requests; closing the
+server closes them too, so a stopped server answers nothing more.
 
 Spec payloads accept either the exact :meth:`RunSpec.to_dict` form (what
 :class:`repro.serve.Client` sends) or curl-friendly keyword form
@@ -33,10 +40,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import signal
+import socket
 import sys
 import threading
 import time
+import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -47,13 +57,17 @@ from repro.engine.spec import RunSpec
 from repro.jit import DEFAULT_BACKEND
 from repro.machine.models import SwitchModel
 from repro.obs.spans import SpanContext, SpanRecorder
-from repro.serve.jobs import JobState
+from repro.serve.jobs import Job, JobState
 from repro.serve.scheduler import AdmissionError, JobScheduler
 from repro.serve.validation import SpecValidationError, validate_fault_spec
 
 #: Request bodies past this size are refused outright (413) before any
 #: JSON parsing — admission control for a single oversized request.
 MAX_BODY_BYTES = 4 * 1024 * 1024
+#: Longest hold, in seconds, a ``?wait=S`` job request gets.
+MAX_WAIT_S = 60.0
+#: A held request checks for a server shutdown this often (seconds).
+HOLD_SLICE = 0.25
 
 
 @dataclasses.dataclass
@@ -134,18 +148,71 @@ def _decode_spec(raw: Dict) -> RunSpec:
     return RunSpec.create(**raw)
 
 
+def _wait_seconds(query: str) -> float:
+    """The hold a job request's query string asks for (``wait=S``),
+    clamped to ``[0, MAX_WAIT_S]``; 0 without one.  Raises
+    ``ValueError`` when S is not a number."""
+    values = urllib.parse.parse_qs(query).get("wait")
+    if not values:
+        return 0.0
+    try:
+        seconds = float(values[-1])
+        if math.isnan(seconds):
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            f"wait must be a number of seconds, not {values[-1]!r}"
+        ) from None
+    return min(max(seconds, 0.0), MAX_WAIT_S)
+
+
 class _ServeHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
 
     def __init__(self, address, handler, app: "ReproServer"):
         self.app = app
+        self._connections = set()
+        self._connections_lock = threading.Lock()
         super().__init__(address, handler)
+
+    # A handler thread keeps reading its kept-alive connection until the
+    # client closes it, so a closed server would go on answering; it
+    # tracks its connections and shuts them down when it closes.
+
+    def process_request(self, request, client_address):
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # its handler closed it meanwhile
+        super().server_close()
+
+    def handle_error(self, request, client_address):
+        # A client that hangs up mid-reply is not a server fault.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # Headers and body go out as two writes.  On a kept-alive connection
+    # Nagle's algorithm would hold the body back until the client's
+    # delayed ACK of the headers, about 40 ms per reply.
+    disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------------
 
@@ -192,15 +259,16 @@ class _Handler(BaseHTTPRequestHandler):
                 if not chunk:
                     break
                 remaining -= len(chunk)
-            self.close_connection = True
-            self._error(413, f"body exceeds {MAX_BODY_BYTES} bytes")
+            self._send(413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"},
+                       headers={"Connection": "close"})
             return None
         return self.rfile.read(length)
 
     # -- routes ----------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib dispatch name
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
+        path, _, query = self.path.partition("?")
+        path = path.rstrip("/") or "/"
         if path == "/healthz":
             return self._send(200, self.app.health_dict())
         if path == "/metrics":
@@ -211,10 +279,8 @@ class _Handler(BaseHTTPRequestHandler):
             )
         if path.startswith("/v1/jobs/"):
             parts = path[len("/v1/jobs/"):].split("/")
-            if len(parts) == 1:
-                return self._job_status(parts[0])
-            if len(parts) == 2 and parts[1] == "result":
-                return self._job_result(parts[0])
+            if len(parts) == 1 or parts[1:] == ["result"]:
+                return self._job(parts[0], query, result=len(parts) == 2)
         return self._error(404, f"no route for GET {path}")
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib dispatch name
@@ -298,16 +364,19 @@ class _Handler(BaseHTTPRequestHandler):
             accepted["trace"] = http_span.trace_id
         self._send(202, accepted)
 
-    def _job_status(self, job_id: str) -> None:
+    def _job(self, job_id: str, query: str, result: bool) -> None:
+        """``GET /v1/jobs/<id>[/result][?wait=S]``."""
+        try:
+            hold = _wait_seconds(query)
+        except ValueError as error:
+            return self._error(400, str(error))
         job = self.app.scheduler.get(job_id)
         if job is None:
             return self._error(404, f"unknown job {job_id!r}")
-        self._send(200, job.status_dict())
-
-    def _job_result(self, job_id: str) -> None:
-        job = self.app.scheduler.get(job_id)
-        if job is None:
-            return self._error(404, f"unknown job {job_id!r}")
+        if hold:
+            self.app.hold(job, hold)
+        if not result:
+            return self._send(200, job.status_dict())
         if job.state is JobState.FAILED:
             return self._send(500, {"job": job.job_id, "error": job.error})
         if job.state is not JobState.DONE:
@@ -356,6 +425,8 @@ class ReproServer:
         self._shutdown_lock = threading.Lock()
         self._shut_down = False
         self._shutdown_done = threading.Event()
+        #: Set once no held request should wait any longer.
+        self._closing = threading.Event()
         self.recovered = self.scheduler.recover()
 
     @property
@@ -395,6 +466,15 @@ class ReproServer:
         ).set(1)
         return self.scheduler.metrics_text()
 
+    def hold(self, job: Job, seconds: float) -> None:
+        """Block until *job* settles, *seconds* pass or the server shuts
+        down (noticed within :data:`HOLD_SLICE`)."""
+        deadline = time.monotonic() + seconds
+        while not self._closing.is_set():
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or job.wait(min(remaining, HOLD_SLICE)):
+                return
+
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> "ReproServer":
@@ -407,9 +487,11 @@ class ReproServer:
         return self
 
     def shutdown(self, drain: bool = True, timeout: Optional[float] = 30.0) -> bool:
-        """Graceful exit: stop admitting, settle in-flight jobs, flush
-        journal + run log, stop the HTTP loop.  Idempotent — concurrent
-        callers block until the first caller's shutdown completes."""
+        """Graceful exit: stop admitting, settle in-flight jobs, release
+        held ``?wait`` requests (at once when not draining), flush
+        journal + run log, stop the HTTP loop and close its connections.
+        Idempotent — concurrent callers block until the first caller's
+        shutdown completes."""
         with self._shutdown_lock:
             first = not self._shut_down
             self._shut_down = True
@@ -417,7 +499,10 @@ class ReproServer:
             self._shutdown_done.wait(timeout)
             return True
         try:
+            if not drain:  # queued jobs will not settle: release held waits
+                self._closing.set()
             drained = self.scheduler.stop(drain=drain, timeout=timeout)
+            self._closing.set()
             if self.spans is not None:
                 self.spans.close()
             self.httpd.shutdown()

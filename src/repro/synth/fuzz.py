@@ -706,10 +706,10 @@ def replay_corpus_serve(
         for entry in entries
         for model in options.models
     ]
-    client = Client(base_url)
-    accepted = client.submit(specs)
-    status = client.wait(accepted["job"], timeout=timeout)
-    results = client.result(accepted["job"], wait=False)
+    with Client(base_url) as client:
+        accepted = client.submit(specs)
+        status = client.wait(accepted["job"], timeout=timeout)
+        results = client.result(accepted["job"], wait=False)
     failed = [
         payload for payload in results
         if not isinstance(payload, dict) or "error" in payload

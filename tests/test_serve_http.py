@@ -1,7 +1,12 @@
 """End-to-end HTTP serve tests: equivalence, backpressure, coalescing,
-drain, restart re-serving, telemetry endpoints, CLI."""
+drain, restart re-serving, the kept-alive transport and held waits,
+telemetry endpoints, CLI."""
 
+import http.client
 import json
+import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -24,7 +29,8 @@ def server(tmp_path):
 
 @pytest.fixture
 def client(server):
-    return Client(server.url)
+    with Client(server.url) as connected:
+        yield connected
 
 
 def _gate_engine(server):
@@ -213,6 +219,238 @@ def test_failed_job_surfaces_error_over_http(client):
     with pytest.raises(ServeError) as excinfo:
         client.result(accepted)
     assert excinfo.value.status == 500
+
+
+# -- transport: one kept-alive connection, held waits ---------------------------
+
+
+def _count_connections(server):
+    """Record every connection the server accepts from now on."""
+    accepted = []
+    original = server.httpd.process_request
+
+    def counting(request, client_address):
+        accepted.append(client_address)
+        original(request, client_address)
+
+    server.httpd.process_request = counting
+    return accepted
+
+
+def _free_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+_TINY = RunSpec(app="sieve", model="ideal", scale="tiny")
+
+
+def test_one_client_sends_its_requests_over_one_connection(server, client):
+    accepted = _count_connections(server)
+    job = client.submit(_TINY)
+    for _ in range(19):
+        client.status(job)
+    assert len(accepted) == 1
+
+
+def test_sequential_requests_are_not_held_back_by_nagle(server, client):
+    # With Nagle's algorithm on, each reply's body waits for the client's
+    # delayed ACK of its headers: about 40 ms a request, 0.8 s for 20.
+    job = client.submit(_TINY)
+    start = time.perf_counter()
+    for _ in range(20):
+        client.status(job)
+    assert time.perf_counter() - start < 0.4
+
+
+@pytest.mark.parametrize("call", ["wait", "result"])
+def test_waiting_for_a_job_is_one_request(server, client, call):
+    gate = _gate_engine(server)
+    job = client.submit(_TINY)
+    requests = []
+    original = client._request
+
+    def counting(method, path, *args, **kwargs):
+        requests.append((method, path))
+        return original(method, path, *args, **kwargs)
+
+    client._request = counting
+    threading.Timer(0.3, gate.set).start()
+    if call == "wait":
+        assert client.wait(job, timeout=120.0)["state"] == "done"
+        path = f"/v1/jobs/{job['job']}?wait="
+    else:
+        assert client.result(job, timeout=120.0)[0]["wall_cycles"] > 0
+        path = f"/v1/jobs/{job['job']}/result?wait="
+    assert len(requests) == 1
+    assert requests[0][0] == "GET" and requests[0][1].startswith(path)
+
+
+def test_shutdown_releases_held_wait_and_closes_connections(tmp_path):
+    config = ServerConfig(port=0, quiet=True, cache_dir=tmp_path / "cache")
+    server = ReproServer(config).start()
+    gate = _gate_engine(server)
+    client = Client(server.url)
+    job = client.submit(_TINY)
+    idle = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10.0)
+    idle.request("GET", "/healthz")
+    assert idle.getresponse().read()
+    replies = []
+
+    def held():
+        status, _, payload = client._request(
+            "GET", f"/v1/jobs/{job['job']}/result?wait=30"
+        )
+        replies.append((time.monotonic(), status, payload))
+
+    waiter = threading.Thread(target=held)
+    waiter.start()
+    time.sleep(0.3)  # the request is now held on the running job
+    started = time.monotonic()
+    stopper = threading.Thread(target=server.shutdown,
+                               kwargs={"drain": False})
+    stopper.start()
+    waiter.join(10.0)
+    gate.set()  # let the worker finish so the shutdown can complete
+    stopper.join(60.0)
+    assert not stopper.is_alive()
+    [(replied, status, payload)] = replies
+    assert started <= replied < started + 1.0
+    assert status == 202 and payload["state"] == "running"
+    # The stopped server answers nothing on its kept-alive connections.
+    with pytest.raises(OSError):
+        idle.request("GET", "/healthz")
+        idle.getresponse()
+    idle.close()
+    with pytest.raises(OSError):
+        client.status(job)
+
+
+def test_client_hanging_up_on_a_held_request_is_not_a_server_error(
+    server, client, capsys
+):
+    gate = _gate_engine(server)
+    job = client.submit(_TINY)
+    for _ in range(3):
+        with socket.create_connection(("127.0.0.1", server.port)) as sock:
+            sock.sendall(
+                f"GET /v1/jobs/{job['job']}/result?wait=0.3 HTTP/1.1\r\n"
+                "Host: test\r\n\r\n".encode()
+            )
+    time.sleep(0.8)  # every hold has run out and its reply hit a closed socket
+    gate.set()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _serve_process(port, tmp_path):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.serve", "serve", "--port", str(port),
+         "--cache-dir", str(tmp_path / "cache"), "--quiet"],
+    )
+    deadline = time.monotonic() + 60.0
+    while True:
+        try:
+            socket.create_connection(("127.0.0.1", port), timeout=1.0).close()
+            return proc
+        except OSError:
+            if proc.poll() is not None or time.monotonic() > deadline:
+                proc.kill()
+                raise
+            time.sleep(0.05)
+
+
+def _stop_process(proc):
+    """SIGTERM; the server must exit promptly although a client still
+    holds an idle kept-alive connection to it."""
+    proc.terminate()
+    try:
+        assert proc.wait(timeout=10.0) == 0
+    finally:
+        proc.kill()
+
+
+def test_client_reconnects_once_across_a_server_restart(tmp_path, monkeypatch):
+    connects = []
+    connect = http.client.HTTPConnection.connect
+
+    def counting(self):
+        connects.append(self.port)
+        connect(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+    port = _free_port()
+    with Client(f"http://127.0.0.1:{port}") as client:
+        for _ in range(2):  # the same client, before and after a restart
+            proc = _serve_process(port, tmp_path)
+            try:
+                for _ in range(3):
+                    assert client.health()["status"] == "ok"
+            finally:
+                _stop_process(proc)
+    assert connects == [port, port]
+
+
+def test_refused_connection_is_oserror_and_client_recovers(tmp_path):
+    port = _free_port()
+    config = ServerConfig(port=port, quiet=True, cache_dir=tmp_path / "cache")
+    with Client(f"http://127.0.0.1:{port}", timeout=5.0) as client:
+        with pytest.raises(OSError):
+            client.health()
+        with ReproServer(config):
+            assert client.health()["status"] == "ok"
+
+
+def test_garbled_reply_is_oserror():
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+
+        def answer():
+            connection, _ = listener.accept()
+            with connection:
+                connection.recv(65536)
+                connection.sendall(b"NOT-HTTP\r\n\r\n")
+
+        thread = threading.Thread(target=answer)
+        thread.start()
+        client = Client(f"http://127.0.0.1:{listener.getsockname()[1]}",
+                        timeout=5.0)
+        with pytest.raises(OSError):
+            client.health()
+        thread.join(5.0)
+        assert not thread.is_alive()
+
+
+def test_timed_out_request_does_not_poison_the_next_one(server):
+    gate = _gate_engine(server)
+    with Client(server.url, timeout=0.3) as client:
+        job = client.submit(_TINY)
+        with pytest.raises(OSError):  # the socket times out mid-request
+            client._request("GET", f"/v1/jobs/{job['job']}?wait=5")
+        assert client.status(job)["state"] in ("queued", "running")
+    gate.set()
+
+
+def test_wait_query_must_be_a_number_and_is_capped(server, client,
+                                                   monkeypatch):
+    import repro.serve.server as server_module
+
+    gate = _gate_engine(server)
+    job = client.submit(_TINY)
+    for bad in ("abc", "nan"):
+        status, _, payload = client._request(
+            "GET", f"/v1/jobs/{job['job']}?wait={bad}"
+        )
+        assert status == 400 and "wait" in payload["error"]
+    monkeypatch.setattr(server_module, "MAX_WAIT_S", 0.3)
+    start = time.monotonic()
+    status, _, payload = client._request(
+        "GET", f"/v1/jobs/{job['job']}/result?wait=1e9"
+    )
+    assert 0.3 <= time.monotonic() - start < 5.0
+    assert status == 202 and payload["state"] in ("queued", "running")
+    gate.set()
 
 
 # -- telemetry ------------------------------------------------------------------

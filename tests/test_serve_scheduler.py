@@ -8,6 +8,7 @@ import pytest
 from repro.engine import Engine, RunSpec
 from repro.serve import (
     AdmissionError,
+    Job,
     JobJournal,
     JobScheduler,
     JobState,
@@ -137,6 +138,39 @@ def test_drain_settles_running_and_queued_jobs(gated):
     assert done == [True]
     assert first.state is JobState.DONE and second.state is JobState.DONE
     assert engine.calls == 2
+
+
+def test_idle_worker_reads_no_job_state(monkeypatch):
+    # The worker goes idle once its queue is empty; it must not scan the
+    # retained jobs for one still unsettled while holding the lock that
+    # every submission waits for.
+    engine = GatedEngine()
+    engine.gate.set()
+    scheduler = JobScheduler(engine)
+    try:
+        retained = {}
+        for latency in range(3000):
+            job = Job([_spec("sor", latency=latency)])
+            job.mark_done([])
+            retained[job.job_id] = job
+        with scheduler._lock:
+            scheduler.jobs.update(retained)
+        reads = []
+        settled = Job.settled.fget
+
+        def counted(job):
+            reads.append(job.job_id)
+            return settled(job)
+
+        monkeypatch.setattr(Job, "settled", property(counted))
+        job, coalesced = scheduler.submit([_spec("sieve")])
+        assert not coalesced and job.wait(10.0)
+        start = time.monotonic()
+        assert scheduler.drain(timeout=10.0)
+        assert time.monotonic() - start < 0.5
+        assert reads == []
+    finally:
+        scheduler.stop(drain=False, timeout=10.0)
 
 
 def test_failed_spec_fails_job_with_error_payload(tmp_path):

@@ -452,6 +452,29 @@ def test_cli_campaign_and_summary(tmp_path, capsys):
     assert "2 clean" in out
 
 
+def test_cli_replays_corpus_through_serve(tmp_path, capsys):
+    from repro.serve import ReproServer, ServerConfig
+
+    corpus = str(tmp_path / "corpus")
+    assert fuzz_main(
+        [
+            "--seeds", "2", "--preset", "quick", "--no-progress",
+            "--models", "eswitch,cswitch", "--corpus", corpus,
+            "--bundle-dir", str(tmp_path / "bundles"),
+        ]
+    ) == 0
+    capsys.readouterr()
+    config = ServerConfig(port=0, quiet=True, cache_dir=tmp_path / "cache")
+    with ReproServer(config) as server:
+        code = fuzz_main(
+            ["--serve", server.url, "--corpus", corpus,
+             "--models", "eswitch,cswitch"]
+        )
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "2 kernel(s), 4 spec(s), state done, 0 failed" in out
+
+
 def test_cli_selftest_and_usage_errors(capsys):
     assert fuzz_main(["--selftest"]) == 0
     assert "caught and shrunk" in capsys.readouterr().err
