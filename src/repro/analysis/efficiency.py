@@ -1,27 +1,20 @@
-"""Efficiency measurement and multithreading-level search.
+"""The efficiency baseline.
 
 The paper's efficiency metric is ``speedup / processors`` relative to a
-single *zero-latency* processor (Section 3.2).  Tables 3, 5, 6 and 8
-report, per application, the multithreading level (threads per
-processor) needed to reach 50/60/70/80/90% efficiency at a fixed
-processor count; the level search here mirrors that: raise M until the
-target is met, or until adding threads stops helping (the fixed-size
-problem has run out of parallelism, exactly the effect the paper
-describes).
+single *zero-latency* processor (Section 3.2).  The tables search the
+multithreading level through the engine
+(:meth:`repro.harness.context.ExperimentContext.mt_levels`); this module
+keeps the baseline for callers that build an application themselves.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 from repro.apps.base import AppSpec
-from repro.compiler.passes import prepare_for_model
 from repro.machine.config import MachineConfig
 from repro.machine.models import SwitchModel
-from repro.machine.simulator import SimulationResult
 from repro.runtime.execution import run_app
-
-EFFICIENCY_TARGETS: List[float] = [0.5, 0.6, 0.7, 0.8, 0.9]
 
 
 def single_thread_cycles(spec: AppSpec, size: Dict) -> int:
@@ -29,68 +22,3 @@ def single_thread_cycles(spec: AppSpec, size: Dict) -> int:
     app = spec.build(1, **size)
     config = MachineConfig(model=SwitchModel.IDEAL)
     return run_app(app, config).wall_cycles
-
-
-def run_model(
-    spec: AppSpec,
-    size: Dict,
-    config: MachineConfig,
-    check: bool = True,
-) -> SimulationResult:
-    """Build the application for *config*'s thread count, lower the code
-    for the model, simulate, verify."""
-    app = spec.build(config.total_threads, **size)
-    program = prepare_for_model(app.program, config.model)
-    return run_app(app, config, program=program, check=check)
-
-
-def mt_levels_for_efficiency(
-    spec: AppSpec,
-    size: Dict,
-    base_config: MachineConfig,
-    targets: Sequence[float] = tuple(EFFICIENCY_TARGETS),
-    max_level: int = 32,
-    t1: Optional[int] = None,
-) -> Dict[float, Optional[int]]:
-    """Smallest threads-per-processor reaching each efficiency target.
-
-    ``None`` means the target was not reachable before *max_level* or
-    before efficiency stopped improving (paper: "the applications enter
-    the domain where the problem sizes are too small for the number of
-    threads").
-    """
-    if t1 is None:
-        t1 = single_thread_cycles(spec, size)
-    needed: Dict[float, Optional[int]] = {target: None for target in targets}
-    best = -1.0
-    stale_rounds = 0
-    for level in range(1, max_level + 1):
-        config = base_config.replace(threads_per_processor=level)
-        result = run_model(spec, size, config)
-        efficiency = result.efficiency(t1)
-        for target in targets:
-            if needed[target] is None and efficiency >= target:
-                needed[target] = level
-        if all(value is not None for value in needed.values()):
-            break
-        if efficiency > best + 1e-9:
-            best = efficiency
-            stale_rounds = 0
-        else:
-            stale_rounds += 1
-            if stale_rounds >= 3:  # adding threads has stopped helping
-                break
-    return needed
-
-
-def reorganization_penalty(spec: AppSpec, size: Dict) -> float:
-    """Table 5's last column: extra single-processor time of the grouped
-    code (added SWITCH slots + scheduling changes) over the original."""
-    app = spec.build(1, **size)
-    config = MachineConfig(model=SwitchModel.IDEAL)
-    original = run_app(app, config).wall_cycles
-    grouped = prepare_for_model(app.program, SwitchModel.EXPLICIT_SWITCH)
-    # The IDEAL machine executes SWITCH as a one-cycle no-op, exposing
-    # exactly the instruction-overhead component of the penalty.
-    reorganised = run_app(app, config, program=grouped).wall_cycles
-    return (reorganised - original) / original

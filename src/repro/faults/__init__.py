@@ -14,8 +14,8 @@ machine (see DESIGN §5d):
 * :func:`build_fault_plan` — per-transaction reply loss and delayed
   delivery decisions, hashed from ``(seed, transaction, attempt)``;
 * :class:`RetryLimitExceeded` — raised when the NACK/retry protocol in
-  :class:`~repro.machine.processor.Processor` exhausts its attempt
-  budget;
+  :class:`~repro.machine.simulator.Simulator` exhausts a transaction's
+  attempt budget;
 * :class:`LifecycleConfig` / :func:`build_lifecycle_plan` — stateful
   degradation-and-repair lifecycles per memory component (HEALTHY →
   DEGRADED → FAILED → REPAIRING → HEALTHY) with per-component

@@ -4,11 +4,12 @@
 Processor` whose fused ``dispatch_event`` dispatches pre-compiled block
 functions (:mod:`repro.jit.codegen`) instead of interpreting instruction
 by instruction.  Everything around the hot loop — round-robin
-scheduling, the NACK/retry protocol, switch-every-cycle's
-one-instruction bursts — is inherited unchanged, and the burst
-bookkeeping below is a line-for-line copy of the interpreter's, so the
-two backends produce bit-identical :class:`~repro.machine.stats.SimStats`
-and tracer event streams.
+scheduling, switch-every-cycle's one-instruction bursts — is inherited
+unchanged, memory transactions (and with them the NACK/retry protocol)
+go through the same :class:`~repro.machine.simulator.Simulator`
+methods, and the burst bookkeeping below is a line-for-line copy of the
+interpreter's, so the two backends produce bit-identical
+:class:`~repro.machine.stats.SimStats` and tracer event streams.
 """
 
 from __future__ import annotations

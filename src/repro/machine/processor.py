@@ -32,7 +32,6 @@ from __future__ import annotations
 from heapq import heappush
 from typing import List, Optional, TYPE_CHECKING
 
-from repro.faults.plan import RetryLimitExceeded
 from repro.isa.instruction import instr_reads, instr_writes
 from repro.isa.opcodes import EVAL, Op, OpFault
 from repro.machine.cache import Cache
@@ -176,44 +175,6 @@ class Processor:
             if index == count:
                 index = 0
         # All threads on this processor have halted; the processor stops.
-
-    def nack(
-        self, time: int, tid: int, txn: int, ftxn: int, attempt: int, hint: int = 0
-    ) -> int:
-        """Account one lost reply (NACK) and return the retry backoff.
-
-        Capped exponential backoff in cycles — ``min(base << (attempt-1),
-        cap)`` — bounds livelock under bursty loss while keeping early
-        retries cheap.  Raises :class:`~repro.faults.plan.
-        RetryLimitExceeded` once the attempt budget is spent, so a
-        pathological loss rate surfaces as a diagnosable failure instead
-        of an eventual ``SimulationTimeout``.  Cold path by construction:
-        only lost replies ever reach it.
-
-        *hint*, when non-zero, is the absolute cycle at which the NACKing
-        component is scheduled to return to service (component-lifecycle
-        outages know their own repair schedule); the backoff stretches to
-        at least reach it, so a long outage costs one retry instead of
-        the whole attempt budget.
-        """
-        faults = self.sim.fault_config
-        if attempt >= faults.max_retries:
-            raise RetryLimitExceeded(
-                f"transaction {ftxn} still unanswered after {attempt} attempts "
-                f"(processor {self.pid}, thread {tid}) [{self.sim.describe()}]"
-            )
-        backoff = faults.backoff_base << (attempt - 1)
-        if backoff > faults.backoff_cap:
-            backoff = faults.backoff_cap
-        if hint > time + backoff:
-            backoff = hint - time
-        stats = self.sim.stats
-        stats.nacks += 1
-        stats.backoff_cycles += backoff
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.mem_nack(time, self.pid, tid, txn, attempt, backoff)
-        return backoff
 
     # -- the interpreter ----------------------------------------------------------
 

@@ -24,11 +24,12 @@ timestamp order.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 from heapq import heappush
 from typing import Callable, List, Optional, Sequence
 
-from repro.faults import build_fault_plan, build_latency_model
+from repro.faults import RetryLimitExceeded, build_fault_plan, build_latency_model
 from repro.faults.lifecycle import DEGRADED, FAILED, HEALTHY, build_lifecycle_plan
 from repro.isa.program import Program
 from repro.machine.cache import Cache
@@ -111,6 +112,30 @@ class SimulationResult:
             f"<SimulationResult wall={self.wall_cycles} "
             f"P={self.config.num_processors} M={self.config.threads_per_processor}>"
         )
+
+
+@dataclasses.dataclass
+class _Transaction:
+    """One load, FAA or line fill in flight while a fault plan is active,
+    carried from arrival to NACK to reissue.
+
+    For a line fill, ``addr`` is the line number and ``owner`` the
+    issuing :class:`~repro.machine.processor.Processor`; otherwise
+    ``owner`` is the thread and ``dest`` its destination register.
+    ``ready`` is when the reply is due, ``txn`` the tracer's id of the
+    current attempt and ``ftxn`` the fault plan's id of the transaction.
+    """
+
+    kind: MsgKind
+    addr: int
+    owner: object
+    dest: int
+    addend: object
+    ready: int
+    txn: int
+    ftxn: int
+    sync: bool
+    attempt: int = 1
 
 
 class Simulator:
@@ -232,7 +257,8 @@ class Simulator:
         self._txn_seq = 0
         #: Fetch-and-Add idempotent-replay buffer: fault txn id -> the
         #: old value returned by the (single) application at memory.
-        #: Populated only when an FAA reply is lost, drained on delivery.
+        #: Filled when the add is applied, drained when its reply is
+        #: delivered, so only adds whose reply is in flight remain.
         self._faa_replay = {}
 
         self.backend = resolve_backend(backend)
@@ -438,8 +464,8 @@ class Simulator:
         self._txn_seq += 1
         self.schedule(
             time + self.half_latency,
-            self._faulty_load_event,
-            (addr, nwords, thread, dest, ready, txn, self._txn_seq, 1, sync),
+            self._arrival_event,
+            _Transaction(kind, addr, thread, dest, 0, ready, txn, self._txn_seq, sync),
         )
 
     def _load_event(self, time: int, arg) -> None:
@@ -461,94 +487,6 @@ class Simulator:
                 del inflight[dest]
         if self.tracer is not None:
             self.tracer.mem_complete(ready, self._pid_of(thread.tid), thread.tid, txn)
-
-    # -- fault-injected load path (repro.faults) ---------------------------------
-
-    def _faulty_load_event(self, time: int, arg) -> None:
-        """Request arrival at memory when a fault plan is active: decide
-        the reply's fate, then deliver, delay, or NACK."""
-        addr, nwords, thread, dest, ready, txn, ftxn, attempt, sync = arg
-        lifecycle = self._lifecycle_active
-        if lifecycle is not None:
-            # A FAILED/REPAIRING module NACKs every request that arrives
-            # while it is down.  The NACK carries the scheduled recovery
-            # cycle so the retry backs off past the outage instead of
-            # burning the attempt budget.
-            recover = lifecycle.outage_until(addr, time)
-            if recover:
-                self.stats.replies_dropped += 1
-                self.schedule(
-                    ready,
-                    self._load_nack_event,
-                    (addr, nwords, thread, dest, txn, ftxn, attempt, sync, recover),
-                    priority=1,
-                )
-                return
-        lost, delay = self._fault_plan.reply_fate(ftxn, attempt)
-        if lost:
-            # The reply vanishes in flight; the issuing processor notices
-            # at the expected arrival time.  Priority 1 lands the NACK
-            # before any dispatch of the waiting thread at that cycle.
-            self.stats.replies_dropped += 1
-            self.schedule(
-                ready,
-                self._load_nack_event,
-                (addr, nwords, thread, dest, txn, ftxn, attempt, sync, 0),
-                priority=1,
-            )
-            return
-        # The value is read at memory now (request arrival), exactly as
-        # on the fault-free path; a delayed reply only moves delivery.
-        values = (
-            (self.shared[addr],)
-            if nwords == 1
-            else (self.shared[addr], self.shared[addr + 1])
-        )
-        if delay:
-            self.stats.replies_delayed += 1
-            ready += delay
-            self._mark_inflight(thread, dest, nwords, ready)
-            self.schedule(
-                ready, self._late_deliver_event, (values, thread, dest, ready, txn),
-                priority=1,
-            )
-            return
-        self.stats.mem_completed += 1
-        for offset, value in enumerate(values):
-            thread.deliver(dest + offset, value, ready)
-        if self.tracer is not None:
-            self.tracer.mem_complete(ready, self._pid_of(thread.tid), thread.tid, txn)
-
-    def _late_deliver_event(self, time: int, arg) -> None:
-        """Deliver a delayed reply (values were read at memory on arrival)."""
-        values, thread, dest, ready, txn = arg
-        self.stats.mem_completed += 1
-        for offset, value in enumerate(values):
-            thread.deliver(dest + offset, value, ready)
-        if self.tracer is not None:
-            self.tracer.mem_complete(ready, self._pid_of(thread.tid), thread.tid, txn)
-
-    def _load_nack_event(self, time: int, arg) -> None:
-        """The issuing processor detects a lost load reply and retries."""
-        addr, nwords, thread, dest, txn, ftxn, attempt, sync, hint = arg
-        pid = self._pid_of(thread.tid)
-        backoff = self.processors[pid].nack(time, thread.tid, txn, ftxn, attempt, hint)
-        reissue = time + backoff
-        kind = MsgKind.READ if nwords == 1 else MsgKind.READ2
-        self.stats.count_message(kind, sync)  # retries re-spend bandwidth
-        self.stats.retries += 1
-        ready = reissue + self._round_trip(reissue, addr)
-        if self.tracer is not None:
-            self.tracer.mem_retry(reissue, pid, thread.tid, txn, attempt)
-            txn = self.tracer.mem_issue(
-                reissue, pid, thread.tid, kind.name, addr, ready - reissue
-            )
-        self._mark_inflight(thread, dest, nwords, ready)
-        self.schedule(
-            reissue + self.half_latency,
-            self._faulty_load_event,
-            (addr, nwords, thread, dest, ready, txn, ftxn, attempt + 1, sync),
-        )
 
     def mem_store(
         self, time: int, addr: int, values: tuple, sync: bool, tid: int = -1
@@ -611,8 +549,11 @@ class Simulator:
         self._txn_seq += 1
         self.schedule(
             time + self.half_latency,
-            self._faulty_faa_event,
-            (addr, thread, dest, addend, ready, txn, self._txn_seq, 1, sync),
+            self._arrival_event,
+            _Transaction(
+                MsgKind.FAA, addr, thread, dest, addend, ready, txn, self._txn_seq,
+                sync,
+            ),
         )
 
     def _faa_event(self, time: int, arg) -> None:
@@ -627,96 +568,6 @@ class Simulator:
         if self.directory is not None:
             line = addr // self.config.cache.line_words
             self._invalidate_sharers(time, line, writer=-1)
-
-    # -- fault-injected Fetch-and-Add path ---------------------------------------
-
-    def _faa_apply(self, time: int, addr: int, addend, ftxn: int):
-        """Apply one Fetch-and-Add *exactly once* under retries.
-
-        A retry of a transaction whose add already landed (only the
-        reply was lost) is answered from the replay buffer — the memory
-        module remembers the old value by transaction id instead of
-        re-applying the add."""
-        replay = self._faa_replay
-        if ftxn in replay:
-            self.stats.faa_replays += 1
-            if self.tracer is not None:
-                self.tracer.faa_replay(time, addr, ftxn)
-            return replay[ftxn]
-        old = self.shared[addr]
-        self.shared[addr] = old + addend
-        if self.tracer is not None:
-            self.tracer.faa_combine(time, addr, old, addend)
-        if self.directory is not None:
-            line = addr // self.config.cache.line_words
-            self._invalidate_sharers(time, line, writer=-1)
-        return old
-
-    def _faulty_faa_event(self, time: int, arg) -> None:
-        addr, thread, dest, addend, ready, txn, ftxn, attempt, sync = arg
-        lifecycle = self._lifecycle_active
-        if lifecycle is not None:
-            # A down module rejects the request before the add is
-            # applied (no replay entry): the retry after recovery
-            # performs the one and only application.
-            recover = lifecycle.outage_until(addr, time)
-            if recover:
-                self.stats.replies_dropped += 1
-                self.schedule(
-                    ready,
-                    self._faa_nack_event,
-                    (addr, thread, dest, addend, txn, ftxn, attempt, sync, recover),
-                    priority=1,
-                )
-                return
-        old = self._faa_apply(time, addr, addend, ftxn)
-        lost, delay = self._fault_plan.reply_fate(ftxn, attempt)
-        if lost:
-            # The add is already applied; remember the old value so the
-            # retry replays the reply instead of adding again.
-            self._faa_replay[ftxn] = old
-            self.stats.replies_dropped += 1
-            self.schedule(
-                ready,
-                self._faa_nack_event,
-                (addr, thread, dest, addend, txn, ftxn, attempt, sync, 0),
-                priority=1,
-            )
-            return
-        self._faa_replay.pop(ftxn, None)
-        if delay:
-            self.stats.replies_delayed += 1
-            ready += delay
-            self._mark_inflight(thread, dest, 1, ready)
-            self.schedule(
-                ready, self._late_deliver_event, ((old,), thread, dest, ready, txn),
-                priority=1,
-            )
-            return
-        self.stats.mem_completed += 1
-        thread.deliver(dest, old, ready)
-        if self.tracer is not None:
-            self.tracer.mem_complete(ready, self._pid_of(thread.tid), thread.tid, txn)
-
-    def _faa_nack_event(self, time: int, arg) -> None:
-        addr, thread, dest, addend, txn, ftxn, attempt, sync, hint = arg
-        pid = self._pid_of(thread.tid)
-        backoff = self.processors[pid].nack(time, thread.tid, txn, ftxn, attempt, hint)
-        reissue = time + backoff
-        self.stats.count_message(MsgKind.FAA, sync)
-        self.stats.retries += 1
-        ready = reissue + self._round_trip(reissue, addr)
-        if self.tracer is not None:
-            self.tracer.mem_retry(reissue, pid, thread.tid, txn, attempt)
-            txn = self.tracer.mem_issue(
-                reissue, pid, thread.tid, MsgKind.FAA.name, addr, ready - reissue
-            )
-        self._mark_inflight(thread, dest, 1, ready)
-        self.schedule(
-            reissue + self.half_latency,
-            self._faulty_faa_event,
-            (addr, thread, dest, addend, ready, txn, ftxn, attempt + 1, sync),
-        )
 
     # -- cached shared-memory transactions ---------------------------------------
 
@@ -782,8 +633,11 @@ class Simulator:
                 self._txn_seq += 1
                 self.schedule(
                     time + self.half_latency,
-                    self._faulty_line_read_event,
-                    (line, pid, fill_ready, txn, self._txn_seq, 1, sync),
+                    self._arrival_event,
+                    _Transaction(
+                        MsgKind.LINE_READ, line, proc, -1, 0, fill_ready, txn,
+                        self._txn_seq, sync,
+                    ),
                 )
             ready = max(ready, fill_ready)
         if ready <= time:  # resident after all (race with a fill): serve now
@@ -806,73 +660,6 @@ class Simulator:
         data = list(self.shared[base : base + line_words])
         self.directory.add_sharer(line, pid)
         self.schedule(fill_ready, self._line_fill_event, (line, data, pid, txn))
-
-    def _faulty_line_read_event(self, time: int, arg) -> None:
-        """Line-fill request arrival at memory under a fault plan."""
-        line, pid, fill_ready, txn, ftxn, attempt, sync = arg
-        lifecycle = self._lifecycle_active
-        if lifecycle is not None:
-            # Lines map to components exactly like word addresses do —
-            # by index modulo the component count.
-            recover = lifecycle.outage_until(line, time)
-            if recover:
-                self.stats.replies_dropped += 1
-                self.schedule(
-                    fill_ready,
-                    self._fill_nack_event,
-                    (line, pid, txn, ftxn, attempt, sync, recover),
-                    priority=1,
-                )
-                return
-        lost, delay = self._fault_plan.reply_fate(ftxn, attempt)
-        if lost:
-            self.stats.replies_dropped += 1
-            self.schedule(
-                fill_ready,
-                self._fill_nack_event,
-                (line, pid, txn, ftxn, attempt, sync, 0),
-                priority=1,
-            )
-            return
-        if delay:
-            self.stats.replies_delayed += 1
-            fill_ready += delay
-            proc = self.processors[pid]
-            if line in proc.mshr:
-                proc.mshr[line] = fill_ready
-        # Memory-side read + directory registration, as on the fault-free
-        # path (the snapshot is taken at request arrival either way).
-        line_words = self.config.cache.line_words
-        base = line * line_words
-        data = list(self.shared[base : base + line_words])
-        self.directory.add_sharer(line, pid)
-        self.schedule(fill_ready, self._line_fill_event, (line, data, pid, txn))
-
-    def _fill_nack_event(self, time: int, arg) -> None:
-        """The requesting processor detects a lost fill and retries it."""
-        line, pid, txn, ftxn, attempt, sync, hint = arg
-        proc = self.processors[pid]
-        backoff = proc.nack(time, -1, txn, ftxn, attempt, hint)
-        reissue = time + backoff
-        self.stats.count_message(MsgKind.LINE_READ, sync)
-        self.stats.retries += 1
-        fill_ready = reissue + self._round_trip(reissue, line)
-        if self.tracer is not None:
-            self.tracer.mem_retry(reissue, pid, -1, txn, attempt)
-            txn = self.tracer.mem_issue(
-                reissue, pid, -1, MsgKind.LINE_READ.name,
-                line * self.config.cache.line_words, fill_ready - reissue,
-            )
-        # The MSHR entry outlives the lost fill (cached_load only issues
-        # when no entry exists), so restamp it; waiting loads' delivery
-        # events re-check it and push themselves out (_cached_deliver_event).
-        if line in proc.mshr:
-            proc.mshr[line] = fill_ready
-        self.schedule(
-            reissue + self.half_latency,
-            self._faulty_line_read_event,
-            (line, pid, fill_ready, txn, ftxn, attempt + 1, sync),
-        )
 
     def _line_fill_event(self, time: int, arg) -> None:
         line, data, pid, txn = arg
@@ -949,24 +736,7 @@ class Simulator:
             self.stats.count_message(kind, sync)
         if self.tracer is not None:
             self.tracer.mem_issue(time, pid, -1, kind.name, addr, self.half_latency)
-        self.schedule(
-            time + self.half_latency, self._write_through_event, (addr, values)
-        )
-
-    def _write_through_event(self, time: int, arg) -> None:
-        addr, values = arg
-        shared = self.shared
-        shared[addr] = values[0]
-        nvals = len(values)
-        if nvals > 1:
-            shared[addr + 1] = values[1]
-        line_words = self._line_words
-        first = addr // line_words
-        self._invalidate_sharers(time, first, writer=-1)
-        if nvals > 1:
-            last = (addr + nvals - 1) // line_words
-            if last != first:
-                self._invalidate_sharers(time, last, writer=-1)
+        self.schedule(time + self.half_latency, self._store_event, (addr, values))
 
     def _invalidate_sharers(self, time: int, line: int, writer: int) -> None:
         for victim in self.directory.invalidate_others(line, writer):
@@ -978,3 +748,149 @@ class Simulator:
         self.processors[victim].cache.invalidate(line)
         if self.tracer is not None:
             self.tracer.invalidate(time, victim, line)
+
+    # -- the NACK/retry protocol (repro.faults) ---------------------------------
+
+    def _arrival_event(self, time: int, rec: _Transaction) -> None:
+        """A load, FAA or line-fill request reaches memory while a fault
+        plan is active: NACK it, or lose, delay or deliver its reply.
+
+        Values are read (and an FAA applied) at arrival, exactly as on
+        the fault-free paths; a delayed reply only moves delivery, and a
+        line fill hands its snapshot to :meth:`_line_read_event`."""
+        kind = rec.kind
+        lifecycle = self._lifecycle_active
+        if lifecycle is not None:
+            # A FAILED/REPAIRING component NACKs every request that
+            # arrives while it is down, before any memory side effect (a
+            # down module never applies an FAA add).  The NACK carries
+            # the scheduled recovery cycle so the retry backs off past
+            # the outage instead of burning the attempt budget.  Lines
+            # map to components by index, like word addresses.
+            recover = lifecycle.outage_until(rec.addr, time)
+            if recover:
+                self.stats.replies_dropped += 1
+                self.schedule(rec.ready, self._nack_event, (rec, recover), priority=1)
+                return
+        if kind is MsgKind.FAA:
+            old = self._faa_apply(time, rec.addr, rec.addend, rec.ftxn)
+        lost, delay = self._fault_plan.reply_fate(rec.ftxn, rec.attempt)
+        if lost:
+            # The reply vanishes in flight; the issuer notices when it
+            # was due.  Priority 1 lands the NACK before any dispatch of
+            # the waiting thread at that cycle.
+            self.stats.replies_dropped += 1
+            self.schedule(rec.ready, self._nack_event, (rec, 0), priority=1)
+            return
+        if delay:
+            self.stats.replies_delayed += 1
+            rec.ready += delay
+            self._restamp(rec)
+        if kind is MsgKind.LINE_READ:
+            self._line_read_event(time, (rec.addr, rec.owner.pid, rec.ready, rec.txn))
+            return
+        if kind is MsgKind.FAA:
+            del self._faa_replay[rec.ftxn]
+            values = (old,)
+        elif kind is MsgKind.READ:
+            values = (self.shared[rec.addr],)
+        else:
+            values = (self.shared[rec.addr], self.shared[rec.addr + 1])
+        reply = (values, rec.owner, rec.dest, rec.ready, rec.txn)
+        if delay:
+            self.schedule(rec.ready, self._reply_event, reply, priority=1)
+        else:
+            self._reply_event(time, reply)
+
+    def _nack_event(self, time: int, arg) -> None:
+        """The issuer detects a lost reply when it was due, backs off and
+        reissues the request.
+
+        The backoff is capped exponential, ``min(backoff_base <<
+        (attempt-1), backoff_cap)`` cycles, which bounds livelock under
+        bursty loss while keeping early retries cheap.  A non-zero
+        *hint* (an outage NACK's recovery cycle) stretches it to reach
+        the repair, so a long outage costs one retry instead of the
+        whole attempt budget.  Past ``max_retries`` attempts the run
+        raises :class:`~repro.faults.plan.RetryLimitExceeded`, so a
+        pathological loss rate is diagnosable instead of an eventual
+        :class:`SimulationTimeout`."""
+        rec, hint = arg
+        kind, attempt = rec.kind, rec.attempt
+        if kind is MsgKind.LINE_READ:  # a fill belongs to its processor
+            pid, tid, where = rec.owner.pid, -1, rec.addr * self._line_words
+        else:
+            tid, where = rec.owner.tid, rec.addr
+            pid = self._pid_of(tid)
+        faults = self.fault_config
+        if attempt >= faults.max_retries:
+            raise RetryLimitExceeded(
+                f"transaction {rec.ftxn} still unanswered after {attempt} attempts "
+                f"(processor {pid}, thread {tid}) [{self.describe()}]"
+            )
+        backoff = min(faults.backoff_base << (attempt - 1), faults.backoff_cap)
+        if hint > time + backoff:
+            backoff = hint - time
+        reissue = time + backoff
+        stats = self.stats
+        stats.nacks += 1
+        stats.backoff_cycles += backoff
+        stats.retries += 1
+        stats.count_message(kind, rec.sync)  # retries re-spend bandwidth
+        rec.ready = reissue + self._round_trip(reissue, rec.addr)
+        rec.attempt = attempt + 1
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.mem_nack(time, pid, tid, rec.txn, attempt, backoff)
+            tracer.mem_retry(reissue, pid, tid, rec.txn, attempt)
+            rec.txn = tracer.mem_issue(
+                reissue, pid, tid, kind.name, where, rec.ready - reissue
+            )
+        self._restamp(rec)
+        self.schedule(reissue + self.half_latency, self._arrival_event, rec)
+
+    def _restamp(self, rec: _Transaction) -> None:
+        """Move where the issuer waits for *rec* to ``rec.ready``: the
+        thread's scoreboard, or a line fill's MSHR entry.  The entry
+        outlives a lost fill (cached_load only issues when none exists),
+        and waiting loads' delivery events re-check it and push
+        themselves out (:meth:`_cached_deliver_event`)."""
+        if rec.kind is MsgKind.LINE_READ:
+            mshr = rec.owner.mshr
+            if rec.addr in mshr:
+                mshr[rec.addr] = rec.ready
+        else:
+            nwords = 2 if rec.kind is MsgKind.READ2 else 1
+            self._mark_inflight(rec.owner, rec.dest, nwords, rec.ready)
+
+    def _faa_apply(self, time: int, addr: int, addend, ftxn: int):
+        """Apply one Fetch-and-Add *exactly once* under retries.
+
+        A retry of a transaction whose add already landed (only the
+        reply was lost) is answered from the replay buffer — the memory
+        module remembers the old value by transaction id until the
+        reply is delivered, instead of re-applying the add."""
+        replay = self._faa_replay
+        if ftxn in replay:
+            self.stats.faa_replays += 1
+            if self.tracer is not None:
+                self.tracer.faa_replay(time, addr, ftxn)
+            return replay[ftxn]
+        old = replay[ftxn] = self.shared[addr]
+        self.shared[addr] = old + addend
+        if self.tracer is not None:
+            self.tracer.faa_combine(time, addr, old, addend)
+        if self.directory is not None:
+            line = addr // self.config.cache.line_words
+            self._invalidate_sharers(time, line, writer=-1)
+        return old
+
+    def _reply_event(self, time: int, arg) -> None:
+        """Deliver a load or FAA reply (values were read at memory on
+        arrival)."""
+        values, thread, dest, ready, txn = arg
+        self.stats.mem_completed += 1
+        for offset, value in enumerate(values):
+            thread.deliver(dest + offset, value, ready)
+        if self.tracer is not None:
+            self.tracer.mem_complete(ready, self._pid_of(thread.tid), thread.tid, txn)

@@ -160,15 +160,18 @@ class JobJournal:
             }
         )
 
-    def record_finish(self, job: Job) -> None:
+    def record_finish(self, job: Job, error: Optional[Dict]) -> None:
+        """Journal *job*'s outcome: done, or failed with *error*.  The
+        record is written before the job settles, so the outcome is an
+        argument rather than the job's state."""
         entry = {
             "event": "finish",
             "job": job.job_id,
-            "state": job.state.value,
+            "state": (JobState.DONE if error is None else JobState.FAILED).value,
             "ts": round(time.time(), 3),
         }
-        if job.error is not None:
-            entry["error"] = job.error
+        if error is not None:
+            entry["error"] = error
         self._append(entry)
 
     def close(self) -> None:

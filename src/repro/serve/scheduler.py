@@ -295,7 +295,7 @@ class JobScheduler:
             job.last_label = event.get("label")
             self.metrics.counter("serve.specs.resolved").inc()
 
-        execute = serialize = None
+        execute = serialize = error = None
         try:
             if recorder is not None:
                 execute = recorder.start(
@@ -335,23 +335,18 @@ class JobScheduler:
                 recorder.finish(serialize)
                 serialize = None
         except _JobFailure as failure:
-            job.mark_failed(failure.error)
-        except Exception as error:  # noqa: BLE001 — worker must survive
-            job.mark_failed(
-                {"type": type(error).__name__, "message": str(error)}
-            )
-        else:
-            job.mark_done(payloads)
+            error = failure.error
+        except Exception as exc:  # noqa: BLE001 — worker must survive
+            error = {"type": type(exc).__name__, "message": str(exc)}
         finally:
             # Whichever stage was open when the job failed is the one
             # that failed it.
             for span in (execute, serialize):
                 if span is not None:
                     recorder.finish(span, status="error")
-        if job.state is JobState.DONE:
-            self.metrics.counter("serve.jobs.completed").inc()
-        else:
-            self.metrics.counter("serve.jobs.failed").inc()
+        # Journal and count before settling: settling releases every
+        # held wait, so a client that has its result finds the job
+        # journaled and counted.
         if self.journal is not None:
             try:
                 if recorder is not None:
@@ -359,11 +354,17 @@ class JobScheduler:
                         "journal", parent=job.trace,
                         attributes={"job": job.job_id},
                     ):
-                        self.journal.record_finish(job)
+                        self.journal.record_finish(job, error)
                 else:
-                    self.journal.record_finish(job)
+                    self.journal.record_finish(job, error)
             except OSError:  # pragma: no cover - disk full etc.
                 pass
+        if error is None:
+            self.metrics.counter("serve.jobs.completed").inc()
+            job.mark_done(payloads)
+        else:
+            self.metrics.counter("serve.jobs.failed").inc()
+            job.mark_failed(error)
 
     def _fold_availability(self, stats) -> None:
         """Chaos-scenario observability: accumulate each result's

@@ -68,6 +68,9 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 MAX_WAIT_S = 60.0
 #: A held request checks for a server shutdown this often (seconds).
 HOLD_SLICE = 0.25
+#: The HTTP loop notices a shutdown within this many seconds.  A new
+#: connection wakes it at once, so the poll delays no request.
+SHUTDOWN_POLL_S = 0.05
 
 
 @dataclasses.dataclass
@@ -481,7 +484,7 @@ class ReproServer:
         """Serve in a background thread (embedded / test use)."""
         self._serve_thread = threading.Thread(
             target=self.httpd.serve_forever, name="repro-serve-http",
-            daemon=True,
+            kwargs={"poll_interval": SHUTDOWN_POLL_S}, daemon=True,
         )
         self._serve_thread.start()
         return self
@@ -555,7 +558,7 @@ def serve(config: ServerConfig) -> int:
             flush=True,
         )
     try:
-        server.httpd.serve_forever()
+        server.httpd.serve_forever(poll_interval=SHUTDOWN_POLL_S)
     finally:
         server.shutdown()
         for signum, handler in previous:

@@ -6,8 +6,6 @@ from repro.analysis import (
     TextTable,
     run_length_row,
     single_thread_cycles,
-    mt_levels_for_efficiency,
-    reorganization_penalty,
     bandwidth_row,
 )
 from repro.analysis.runlength import format_row_cells, RUN_BIN_LABELS
@@ -42,24 +40,18 @@ def test_text_table_render():
 # -- efficiency helpers --------------------------------------------------------
 
 
-def test_single_thread_cycles_and_penalty():
+def test_single_thread_cycles_and_penalty(ctx):
     spec = get_app("sor")
     size = SCALES["tiny"]["sor"]
     t1 = single_thread_cycles(spec, size)
     assert t1 > 1000
-    penalty = reorganization_penalty(spec, size)
+    assert t1 == ctx.t1("sor")
+    penalty = (ctx.reorganised_t1("sor") - t1) / t1
     assert 0.0 <= penalty < 0.15  # a few percent, as in the paper
 
 
-def test_mt_levels_structure():
-    spec = get_app("sieve")
-    size = SCALES["tiny"]["sieve"]
-    base = MachineConfig(
-        model=SwitchModel.SWITCH_ON_LOAD, num_processors=2, threads_per_processor=1
-    )
-    levels = mt_levels_for_efficiency(
-        spec, size, base, targets=(0.2, 0.4), max_level=6
-    )
+def test_mt_levels_structure(ctx):
+    levels = ctx.mt_levels("sieve", SwitchModel.SWITCH_ON_LOAD, targets=(0.2, 0.4))
     assert set(levels) == {0.2, 0.4}
     reached = [lvl for lvl in levels.values() if lvl is not None]
     assert all(1 <= lvl <= 6 for lvl in reached)

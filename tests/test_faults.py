@@ -221,15 +221,31 @@ def test_faa_applies_exactly_once_under_loss():
     assert result.stats.retries == result.stats.replies_dropped > 0
 
 
-def test_total_loss_exhausts_retry_budget():
+@pytest.mark.parametrize("backend", ["interpreter", "compiled"])
+@pytest.mark.parametrize(
+    "asm, model, thread",
+    [
+        ("lws r1, 0(r0)\nhalt\n", SwitchModel.SWITCH_ON_LOAD, 0),
+        ("li r2, 1\nfaa r1, 0(r0), r2\nhalt\n", SwitchModel.SWITCH_ON_LOAD, 0),
+        # A line fill belongs to the processor, not to a thread.
+        ("lws r1, 0(r0)\nhalt\n", SwitchModel.SWITCH_ON_MISS, -1),
+    ],
+    ids=["load", "faa", "line-fill"],
+)
+def test_total_loss_exhausts_retry_budget(asm, model, thread, backend):
     with pytest.raises(RetryLimitExceeded) as info:
         run_asm(
-            "lws r1, 0(r0)\nhalt\n",
-            model=SwitchModel.SWITCH_ON_LOAD,
+            asm,
+            model=model,
             latency=200,
+            backend=backend,
             faults=FaultConfig(loss_rate=1.0, max_retries=3),
         )
-    assert "3 attempts" in str(info.value)
+    assert str(info.value) == (
+        f"transaction 1 still unanswered after 3 attempts "
+        f"(processor 0, thread {thread}) [model={model.value} P=1 M=1 "
+        f"latency=200 faults=constant/loss=1.0/delay=0.0/seed=0]"
+    )
 
 
 def test_delayed_replies_slow_the_run_but_deliver():

@@ -287,6 +287,15 @@ def test_waiting_for_a_job_is_one_request(server, client, call):
     assert requests[0][0] == "GET" and requests[0][1].startswith(path)
 
 
+def test_idle_server_shuts_down_promptly(tmp_path):
+    config = ServerConfig(port=0, quiet=True, cache_dir=tmp_path / "cache")
+    server = ReproServer(config).start()
+    time.sleep(0.1)  # the HTTP loop is now waiting for a connection
+    started = time.monotonic()
+    server.shutdown()
+    assert time.monotonic() - started < 0.2
+
+
 def test_shutdown_releases_held_wait_and_closes_connections(tmp_path):
     config = ServerConfig(port=0, quiet=True, cache_dir=tmp_path / "cache")
     server = ReproServer(config).start()

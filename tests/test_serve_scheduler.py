@@ -201,6 +201,41 @@ def test_progress_counters_track_resolved_specs():
     scheduler.stop()
 
 
+def test_job_settles_only_after_it_is_counted_and_journaled(
+    tmp_path, monkeypatch
+):
+    # Settling releases every held wait, so a job must not read done
+    # before /metrics counts it and the journal records its finish.
+    reached, gate = threading.Event(), threading.Event()
+    record_finish = JobJournal.record_finish
+
+    def held(journal, *args):
+        reached.set()
+        assert gate.wait(30.0), "test forgot to open the gate"
+        record_finish(journal, *args)
+
+    monkeypatch.setattr(JobJournal, "record_finish", held)
+    engine = GatedEngine()
+    engine.gate.set()
+    path = tmp_path / "journal.jsonl"
+    scheduler = JobScheduler(engine, journal=path)
+    completed = scheduler.metrics.counter("serve.jobs.completed")
+    try:
+        job, _ = scheduler.submit([_spec("sieve")])
+        assert reached.wait(30.0)
+        assert not job.wait(0.2)
+        assert job.status_dict()["state"] == "running"
+        assert completed.value == 0
+        gate.set()
+        assert job.wait(30.0) and job.state is JobState.DONE
+        assert completed.value == 1
+        [record] = JobJournal(path).load()
+        assert record["job"] == job.job_id and record["state"] == "done"
+    finally:
+        gate.set()
+        scheduler.stop(timeout=10.0)
+
+
 def test_journal_round_trip_and_torn_tail(tmp_path):
     path = tmp_path / "journal.jsonl"
     journal = JobJournal(path)
@@ -209,7 +244,7 @@ def test_journal_round_trip_and_torn_tail(tmp_path):
     job = Job([_spec("sieve"), _spec("sor")])
     journal.record_submit(job)
     job.mark_done([{}, {}])
-    journal.record_finish(job)
+    journal.record_finish(job, None)
     journal.close()
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"event": "submit", "job": "jdead", "specs": [{"ap')
