@@ -90,11 +90,13 @@ def _execute_payload(
     boundary.  When present, the worker opens a ``simulate`` span
     parented on it (children: ``build``, ``jit-compile``, ``run``) and
     ships the finished spans back inside the payload under ``"spans"``
-    for the parent-side recorder to absorb.
+    for the parent-side recorder to absorb.  A failed run finishes the
+    stage span it failed in with status ``error``, so its time is not
+    counted as ``simulate`` self time.
     """
     from repro.runtime.execution import run_app
 
-    recorder = simulate_span = None
+    recorder = simulate_span = stage = None
     if span_context is not None:
         recorder = SpanRecorder(capacity=None)
         simulate_span = recorder.start(
@@ -105,7 +107,7 @@ def _execute_payload(
     start = time.perf_counter()
     try:
         if recorder is not None:
-            build_span = recorder.start("build", parent=simulate_span)
+            stage = recorder.start("build", parent=simulate_span)
         app, program = _build(
             spec.app,
             spec.total_threads,
@@ -116,9 +118,9 @@ def _execute_payload(
         if recorder is not None:
             from repro.jit import compile_seconds_for
 
-            recorder.finish(build_span)
+            recorder.finish(stage)
             compile_before = compile_seconds_for(program)
-            run_span = recorder.start(
+            stage = run_span = recorder.start(
                 "run",
                 parent=simulate_span,
                 attributes={"backend": resolve_backend(spec.backend)},
@@ -128,6 +130,7 @@ def _execute_payload(
         )
         if recorder is not None:
             recorder.finish(run_span)
+            stage = None
             # Lazy block compilation happens *inside* the run; the delta
             # of the program's accumulator splits compile-vs-run out as
             # sibling spans (the compile span overlaps its run sibling).
@@ -166,6 +169,8 @@ def _execute_payload(
             "peak_rss_kb": peak_rss_kb(),
         }
         if recorder is not None:
+            if stage is not None:
+                recorder.finish(stage, status="error")
             recorder.finish(simulate_span, status="error")
             payload["spans"] = [span.to_dict() for span in recorder.spans()]
         return None, payload

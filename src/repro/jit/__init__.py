@@ -2,16 +2,21 @@
 
 Two ways to run the same machine:
 
-* ``interpreter`` — :class:`~repro.machine.processor.Processor`'s
-  decode-as-you-go burst loop.  No compile step, lowest latency to first
-  cycle; the reference semantics.
-* ``compiled`` — :class:`~repro.jit.driver.CompiledProcessor` dispatching
-  per-block Python functions generated by :mod:`repro.jit.codegen`.
-  Compiles code when a run first reaches it, each region about once per
-  process for every distinct program content and machine variant, then
-  executes with operands and model decisions pre-resolved.  Compiling
-  costs far more than executing a block does, so on short runs it is
-  still most of the time.  Bit-identical SimStats by contract (pinned by
+Both run :class:`~repro.machine.processor.Processor`'s one burst loop,
+which calls the function behind each pc; they differ only in what that
+function is.
+
+* ``interpreter`` — :meth:`~repro.machine.processor.Processor._burst`
+  behind every pc: decode as you go.  No compile step, lowest latency
+  to first cycle; the reference semantics.
+* ``compiled`` — per-block Python functions generated by
+  :mod:`repro.jit.codegen`.  Compiles code when a run first reaches it,
+  each region about once per process for every distinct program content
+  and machine variant, then executes with operands and model decisions
+  pre-resolved.  Compiling costs far more than executing a block does,
+  so on short runs it is still most of the time.  Traced and
+  switch-every-cycle runs keep the interpreter's function.
+  Bit-identical SimStats by contract (pinned by
   ``tests/test_jit_equivalence.py``).
 * ``auto`` — resolves to ``compiled`` (every model/feature is supported;
   the alias exists so callers can opt into "fastest available" without
@@ -28,13 +33,11 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.jit.codegen import (
-    CONTINUE,
     MAX_EMIT,
     CompiledProgram,
     compile_seconds_for,
     compiled_for,
 )
-from repro.jit.driver import CompiledProcessor
 
 #: The default backend when nothing is requested anywhere.
 DEFAULT_BACKEND = "interpreter"
@@ -81,10 +84,8 @@ def backend_info() -> List[Dict]:
 
 __all__ = [
     "BACKENDS",
-    "CONTINUE",
     "DEFAULT_BACKEND",
     "MAX_EMIT",
-    "CompiledProcessor",
     "CompiledProgram",
     "backend_info",
     "compile_seconds_for",

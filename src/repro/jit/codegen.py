@@ -12,8 +12,8 @@ block functions for the code bursts reach, with
 * the opcode dispatch unrolled into straight-line statements,
 * the switch-model decisions folded at compile time (an explicit-switch
   block contains no conditional-switch code and vice versa),
-* tracer / oracle / cache probes hoisted out entirely when the variant
-  runs without them and inlined when it runs with them, and
+* oracle / cache probes hoisted out entirely when the variant runs
+  without them and inlined when it runs with them, and
 * runs of non-switching ALU/FP/local instructions guarded by a single
   hoisted deadline + scoreboard check (the *fast path*), falling back to
   the exact per-instruction guard sequence when a wait could land inside
@@ -22,9 +22,11 @@ block functions for the code bursts reach, with
 Equivalence contract
 --------------------
 The generated code must be **bit-identical** to the interpreter: same
-SimStats, same tracer event stream, same exceptions with the same
-messages.  Per-instruction order is the interpreter's — (1) deadline
-check, (2) in-flight scoreboard check, (3) tracer probe, (4) execution.
+SimStats, same exceptions with the same messages.  Per-instruction order
+is the interpreter's — (1) deadline check, (2) in-flight scoreboard
+check, (3) execution.  Compiled code fires no tracer probes: a traced run
+keeps the interpreter's table (see :class:`~repro.machine.processor.
+Processor`), so its event stream is the interpreter's by construction.
 ALU, FP and compare-branch bodies format the same :data:`~repro.isa.
 opcodes.EXPR` / :data:`~repro.isa.opcodes.FAULTS` templates the
 interpreter's evaluators are built from; memory, jump and ``SWITCH``
@@ -39,9 +41,10 @@ and has the signature::
     fn(proc, thread, t, deadline, run0, pc) -> (outcome, t, pc, n, resume, flush)
 
 where the argument *pc* names the region to start in and *outcome* is
-one of the interpreter's ``OUT_*`` codes or :data:`CONTINUE` (control
-moved to ``pc`` within the same burst; the driver dispatches the next
-block).  Functions compile lazily, on the first dispatch of a pc that no
+one of the interpreter's ``OUT_*`` codes or
+:data:`~repro.machine.processor.CONTINUE` (control moved to ``pc`` within
+the same burst; the burst loop, ``Processor.dispatch_event``, calls the
+next block).  Functions compile lazily, on the first dispatch of a pc that no
 function serves, because any pc can become a burst entry (deadline
 pauses and mid-block switch resumes land anywhere).  A new function also
 serves other regions it holds, and later functions end at any pc that
@@ -61,6 +64,7 @@ from repro.isa.instruction import Instruction, instr_reads, instr_writes
 from repro.isa.opcodes import EXPR, FAULTS, Op
 from repro.machine.network import MsgKind
 from repro.machine.processor import (
+    CONTINUE,
     ExecutionError,
     M_COND,
     M_EXPLICIT,
@@ -74,10 +78,6 @@ from repro.machine.processor import (
     OUT_SWITCH,
     OUT_YIELD,
 )
-
-#: Block-function outcome: control transferred, same burst continues.
-#: (Disjoint from the interpreter's OUT_* codes 0-3.)
-CONTINUE = 4
 
 #: Emission cap per block function.  Bounds generated-code size for
 #: pathological straight-line programs; a capped block hands control
@@ -95,8 +95,6 @@ _JMP_MAX = 50
 _LOCAL_MAX = 54
 _SHARED_MAX = 59
 
-_OPS = {int(op): op for op in Op}
-
 #: Hoisted locals the generated preamble may need, in emission order.
 #: Each entry is (name, statement, prerequisites).
 _PREAMBLE = (
@@ -109,12 +107,11 @@ _PREAMBLE = (
     ("inflight", "inflight = thread.inflight", ()),
     ("cache", "cache = proc.cache", ()),
     ("lw", "lw = cache.line_words", ("cache",)),
-    ("tracer", "tracer = sim.tracer", ("sim",)),
     ("pid", "pid = proc.pid", ()),
     ("tid", "tid = thread.tid", ()),
     ("olc", "olc = proc.oracle[thread.tid]", ()),
     ("forced", "forced = proc.forced_interval", ()),
-    # Inlined memory-transaction fast path (untraced, unfaulted variants).
+    # Inlined memory-transaction fast path (unfaulted variants).
     ("heap", "heap = sim._heap", ("sim",)),
     ("hl", "hl = sim.half_latency", ("sim",)),
     ("lev", "lev = sim._load_event", ("sim",)),
@@ -130,29 +127,28 @@ class CompiledProgram:
     pair.
 
     The variant key is everything the generated code folds in at compile
-    time: the machine model code, whether a tracer is attached, whether
-    the Section 5.2 oracle is on, whether the model runs a cache, and
-    whether a fault plan is active (unfaulted untraced variants inline
-    the memory-transaction issue path; faulted ones go through the
-    simulator methods so the NACK/retry protocol stays in one place).
+    time: the machine model code, whether the Section 5.2 oracle is on,
+    whether the model runs a cache, and whether a fault plan is active
+    (unfaulted variants inline the memory-transaction issue path;
+    faulted ones go through the simulator methods so the NACK/retry
+    protocol stays in one place).
     Runtime-configurable values (``switch_cost``, ``forced_interval``,
     burst limit) are read from the processor at execution time, so one
     compiled variant serves every latency / cost configuration.
     """
 
-    __slots__ = ("name", "code", "model", "traced", "oracle_on", "cached",
-                 "faulted", "funcs", "loop_of", "headers", "compiled_blocks",
+    __slots__ = ("name", "code", "model", "oracle_on", "cached", "faulted",
+                 "funcs", "loop_of", "headers", "compiled_blocks",
                  "compile_seconds")
 
-    def __init__(self, program, model: int, traced: bool, oracle_on: bool,
-                 cached: bool, faulted: bool):
+    def __init__(self, program, model: int, oracle_on: bool, cached: bool,
+                 faulted: bool):
         # Only the name and the instruction list are kept, not the
         # Program: the variant is shared by every program with the same
         # content, and a back-reference would keep its first owner alive.
         self.name = program.name
         self.code = program.instructions
         self.model = model
-        self.traced = traced
         self.oracle_on = oracle_on
         self.cached = cached
         self.faulted = faulted
@@ -218,8 +214,8 @@ def _variants_for(program) -> _Variants:
     return variants
 
 
-def compiled_for(program, model: int, traced: bool, oracle_on: bool,
-                 cached: bool, faulted: bool = False) -> CompiledProgram:
+def compiled_for(program, model: int, oracle_on: bool, cached: bool,
+                 faulted: bool = False) -> CompiledProgram:
     """The (cached) :class:`CompiledProgram` for one program variant.
 
     Compiled blocks are shared by content, not by object: the engine's
@@ -229,11 +225,10 @@ def compiled_for(program, model: int, traced: bool, oracle_on: bool,
     to one table and share the code compiled into it.
     """
     variants = _variants_for(program)
-    key = (model, traced, oracle_on, cached, faulted)
+    key = (model, oracle_on, cached, faulted)
     compiled = variants.get(key)
     if compiled is None:
-        compiled = CompiledProgram(program, model, traced, oracle_on, cached,
-                                   faulted)
+        compiled = CompiledProgram(program, model, oracle_on, cached, faulted)
         variants[key] = compiled
     return compiled
 
@@ -253,7 +248,7 @@ def _compile_entry(cp: CompiledProgram, entry: int):
     it serves."""
     emitter = _Emitter(cp, entry)
     source = emitter.emit()
-    namespace = {"math": math, "ExecutionError": ExecutionError, "OPS": _OPS,
+    namespace = {"math": math, "ExecutionError": ExecutionError,
                  "heappush": heappush}
     exec(compile(source, f"<jit:{cp.name}@{entry}>", "exec"), namespace)
     # Popped, so the function and its globals form no reference cycle and
@@ -315,11 +310,11 @@ class _Emitter:
         self.need = set()
         # IDEAL's burst boundaries are fairness yields, not pauses.
         self.pause_out = OUT_YIELD if cp.model == M_IDEAL else OUT_PAUSE
-        # Untraced, unfaulted variants mirror the simulator's uncached
-        # issue path inline (bit accounting, scoreboard, heap push);
-        # traced / faulted ones call the simulator methods so the probe
-        # and NACK/retry logic stay in one place.
-        self.inline_mem = not cp.traced and not cp.faulted
+        # Unfaulted variants mirror the simulator's uncached issue path
+        # inline (bit accounting, scoreboard, heap push); faulted ones
+        # call the simulator methods so the NACK/retry logic stays in
+        # one place.
+        self.inline_mem = not cp.faulted
 
     # -- low-level helpers -------------------------------------------------------
 
@@ -381,11 +376,6 @@ class _Emitter:
             self.use("stats")
             self.w(ind + 2, "stats.implicit_use_switches += 1")
         self.w(ind + 2, f"return {OUT_SWITCH}, t, {i}, {self._nx(n)}, _b, 0")
-
-    def _probe(self, ins: Instruction, i: int, ind: int) -> None:
-        if self.cp.traced:
-            self.use("tracer", "pid", "tid")
-            self.w(ind, f"tracer.instr(t, pid, tid, {i}, OPS[{int(ins.op)}])")
 
     # -- instruction bodies ------------------------------------------------------
 
@@ -505,7 +495,7 @@ class _Emitter:
             ))
         elif self.inline_mem:
             # Mirror ``Simulator.mem_store`` (stores have no fault path,
-            # and the untraced variant has no probe to fire).
+            # and compiled code runs untraced).
             kind = MsgKind.WRITE2 if double else MsgKind.WRITE
             self._count_message(kind, sync, ind)
             self.use("heap", "hl", "sev")
@@ -518,7 +508,7 @@ class _Emitter:
 
     def _emit_inline_issue(self, ins: Instruction, ind: int) -> None:
         """Mirror ``Simulator.mem_load`` / ``mem_faa`` inline for the
-        untraced, unfaulted variant: bit accounting with a compile-time
+        unfaulted variant: bit accounting with a compile-time
         message kind, the split-phase scoreboard stamps, and a direct
         heap push of the (fault-free) completion event."""
         op = ins.op
@@ -643,9 +633,6 @@ class _Emitter:
             self.w(hit, f"regs[{ins.rd}] = _first")
             if nwords == 2:
                 self.w(hit, f"regs[{ins.rd + 1}] = _second")
-        if self.cp.traced:
-            self.use("tracer", "pid", "tid")
-            self.w(hit, "tracer.cache_hit(t, pid, tid, _addr)")
         if not sync:
             self.use("stats")
             self.w(hit, "stats.cache_hits += 1")
@@ -655,8 +642,6 @@ class _Emitter:
             self.use("forced", "stats")
             self.w(hit, "if forced and run0 + t >= forced:")
             self.w(hit + 1, "stats.forced_switches += 1")
-            if self.cp.traced:
-                self.w(hit + 1, "tracer.switch_forced(t, pid, tid)")
             self.w(hit + 1,
                    f"return {OUT_SWITCH}, t, {i + 1}, {self._nx(n + 1)}, t, 0")
         self.w(ind, "else:")
@@ -666,11 +651,6 @@ class _Emitter:
             f"_issued = sim.cached_load(t, _addr, {nwords}, thread, "
             f"{ins.rd}, pid, {sync})"
         ))
-        if self.cp.traced:
-            self.w(miss, "if _issued:")
-            self.w(miss + 1, "tracer.cache_miss(t, pid, tid, _addr)")
-            self.w(miss, "else:")
-            self.w(miss + 1, "tracer.cache_merge(t, pid, tid, _addr)")
         if not sync:
             self.use("stats")
             self.w(miss, "stats.cache_misses += 1")
@@ -697,14 +677,9 @@ class _Emitter:
             ))
             self.w(ind, "if forced and run0 + t >= forced:")
             self.w(ind + 1, "stats.forced_switches += 1")
-            if cp.traced:
-                self.use("tracer", "pid", "tid")
-                self.w(ind + 1, "tracer.switch_forced(t, pid, tid)")
             self.w(ind + 1,
                    f"return {OUT_SWITCH}, t, {i + 1}, {self._nx(n + 1)}, t, 0")
             self.w(ind, "stats.skipped_switches += 1")
-            if cp.traced:
-                self.w(ind, "tracer.switch_skipped(t, pid, tid)")
             return True
         if cp.model in (M_EXPLICIT, M_SOL, M_USE):
             self.w(ind, "_resume = thread.pending_until")
@@ -722,7 +697,6 @@ class _Emitter:
         v = int(ins.op)
         self._deadline_guard(i, n, ind)
         self._inflight_guard(ins, i, n, ind)
-        self._probe(ins, i, ind)
 
         if v <= _FP_MAX:  # integer ALU / FP
             self._alu_body(ins, i, ind)
@@ -774,8 +748,7 @@ class _Emitter:
     def _fast_eligible(self, ins: Instruction) -> bool:
         """Ops groupable under one hoisted guard: they never end the
         burst, never branch, never touch the in-flight scoreboard or the
-        simulated clock mid-body.  Tracing disables grouping entirely —
-        the per-instruction probe needs an exact per-instruction ``t``."""
+        simulated clock mid-body."""
         v = int(ins.op)
         return v <= _FP_MAX or ins.op is Op.NOP or (_JMP_MAX < v <= _LOCAL_MAX)
 
@@ -862,13 +835,12 @@ class _Emitter:
             if budget <= 0:
                 self.w(0, f"return {CONTINUE}, t, {pc}, {self._nx(n)}, 0, 0")
                 return 0
-            if not cp.traced:
-                length = self._fast_run(pc, budget)
-                if length >= _MIN_RUN:
-                    n = self._emit_fast(pc, length, n, 0)
-                    pc += length
-                    budget -= length
-                    continue
+            length = self._fast_run(pc, budget)
+            if length >= _MIN_RUN:
+                n = self._emit_fast(pc, length, n, 0)
+                pc += length
+                budget -= length
+                continue
             falls, next_pc = self._emit_one(pc, n, 0)
             n += 1
             budget -= 1
@@ -888,7 +860,7 @@ class _Emitter:
         top, exactly as a fresh dispatch would — so loops (including
         multi-block loops) iterate without bouncing through the dispatch
         loop.  Transfers to targets left out of the function return
-        ``CONTINUE`` and the driver picks the next block.  The ``_pc``
+        ``CONTINUE`` and the burst loop calls the next block.  The ``_pc``
         chain tests loop headers first, innermost (highest pc) first,
         since the function is entered at any of its regions and a hot
         loop need not be the entry.  With a single region the ``_pc``

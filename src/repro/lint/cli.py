@@ -109,11 +109,6 @@ def _cmd_lint(args) -> int:
             with open(args.json, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle, indent=2)
             print(f"[lint] wrote {args.json}", file=sys.stderr)
-    if args.sarif:
-        from repro.lint.sarif import write_sarif
-
-        write_sarif(args.sarif, reports)
-        print(f"[lint] wrote {args.sarif}", file=sys.stderr)
     return 1 if failed else 0
 
 
@@ -190,12 +185,6 @@ def main(argv=None) -> int:
         metavar="RULE=LEVEL",
         help="override one rule's severity (info/warning/error; "
         "repeatable)",
-    )
-    parser.add_argument(
-        "--sarif",
-        default=None,
-        metavar="PATH",
-        help="also export the findings as a SARIF 2.1.0 document",
     )
     parser.add_argument(
         "--verbose",

@@ -1,4 +1,4 @@
-"""The multithreaded processor: burst interpreter + round-robin scheduler.
+"""The multithreaded processor: one burst loop + round-robin scheduler.
 
 One :class:`Processor` holds ``M`` thread contexts and executes the current
 thread's instructions in *bursts* — sequences of cycles that end at a
@@ -6,7 +6,15 @@ context-switch point (model dependent), at thread halt, at the engine's
 burst limit, or when the thread touches a register whose shared load is
 still in flight.
 
-Design notes for the interpreter loop (``_burst``):
+``dispatch_event`` is the one burst loop of both execution backends: it
+calls the function behind each pc, ``fn(proc, thread, t, deadline, run0,
+pc) -> (outcome, t, pc, n, resume, flush)``, until an outcome other than
+:data:`CONTINUE`, then does the end-of-burst bookkeeping once.  That
+function is :meth:`Processor._burst` on the interpreter backend, and a
+:mod:`repro.jit.codegen` block on the compiled one (except in traced and
+switch-every-cycle runs).
+
+Design notes for the interpreter (``_burst``):
 
 * What an ALU, FP or compare-branch instruction computes is not
   written here.  Each pc's evaluator from :data:`repro.isa.opcodes.EVAL`
@@ -34,8 +42,10 @@ from typing import List, Optional, TYPE_CHECKING
 
 from repro.isa.instruction import instr_reads, instr_writes
 from repro.isa.opcodes import EVAL, Op, OpFault
+from repro.isa.registers import reg_name
 from repro.machine.cache import Cache
 from repro.machine.models import SwitchModel
+from repro.machine.simulator import SimulationTimeout
 from repro.machine.thread import ThreadContext
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -82,6 +92,14 @@ OUT_SWITCH = 0  # a context switch was taken: record the run, rotate threads
 OUT_PAUSE = 1  # simulation artifact: same thread continues (no switch)
 OUT_YIELD = 2  # rotate threads without a model-level switch (IDEAL fairness)
 OUT_HALT = 3
+#: Block-function outcome: control moved to ``pc`` within the same burst,
+#: so the loop calls the function behind it.
+CONTINUE = 4
+
+#: Pauses that ran nothing, at one cycle on one processor, before the run
+#: is declared stalled: a scoreboard entry already due whose delivery
+#: never comes pauses its thread at that cycle forever.
+STALL_LIMIT = 1000
 
 
 class ExecutionError(Exception):
@@ -114,9 +132,10 @@ class Processor:
         config = sim.config
         self.model = _MODEL_CODES[config.model]
         self.burst_limit = config.burst_limit
-        # switch-every-cycle is implemented as one-cycle switch-on-load
-        # bursts (see _burst_sec).  Fold that rewrite in here, once,
-        # instead of swapping model/burst_limit around every burst.
+        # switch-every-cycle runs one-cycle switch-on-load bursts, each
+        # ending in a rotation (see dispatch_event).  Fold that rewrite
+        # in here, once, instead of swapping model/burst_limit around
+        # every burst.
         self._sec = self.model == M_SEC
         if self._sec:
             self.model = M_SOL
@@ -129,27 +148,129 @@ class Processor:
         self.evaluators = [EVAL.get(ins.op) for ins in self.code]
         #: Section 5.2 estimator (list of per-thread OneLineCache or None).
         self.oracle = sim.oracle_caches
+        #: The cycle of the last pause that ran nothing, and how many
+        #: such pauses it has seen (the progress guard).
+        self._stall_cycle = -1
+        self._stalls = 0
+
+        #: The function behind each pc: compiled blocks (None until a
+        #: burst first reaches the pc), or the interpreter.  A traced run
+        #: is a one-off, and switch-every-cycle's one-instruction bursts
+        #: leave a block nothing to amortize, so both keep the latter.
+        self._compiled = None
+        if sim.backend == "compiled" and not self._sec and sim.tracer is None:
+            from repro.jit.codegen import compiled_for  # circular-import guard
+
+            self._compiled = compiled_for(
+                sim.program,
+                model=self.model,
+                oracle_on=self.oracle is not None,
+                cached=cache is not None,
+                faulted=sim._fault_plan is not None,
+            )
+            self._funcs = self._compiled.funcs
+        else:
+            self._funcs = [Processor._burst] * len(self.code)
 
     # -- event entry points -----------------------------------------------------
 
     def dispatch_event(self, now: int, _arg=None) -> None:
-        """Heap event: run one burst of the current thread."""
+        """Heap event: run one burst of the current thread, do its
+        bookkeeping and reschedule.
+
+        Calls the function behind each pc until one returns an outcome
+        other than :data:`CONTINUE`.  The tracer sees ``switch_taken`` /
+        ``thread_halt`` before ``burst``.
+        """
         thread = self.threads[self.cur]
-        if self._sec:
-            outcome, t_end = self._burst_sec(thread, now)
-        else:
-            outcome, t_end = self._burst(thread, now)
+        funcs = self._funcs
+
+        t = now
+        deadline = now + self.burst_limit
+        pc = thread.pc
+        run0 = thread.run_cycles - now  # run length = run0 + t at any point
+        n_instr = 0
+        while True:
+            fn = funcs[pc]
+            if fn is None:
+                fn = self._compiled.ensure(pc)
+            outcome, t, pc, n, resume, flush = fn(
+                self, thread, t, deadline, run0, pc)
+            n_instr += n
+            if outcome != CONTINUE:
+                break
+
         sim = self.sim
+        stats = sim.stats
         tracer = sim.tracer
+        elapsed = t - now
+        self.busy_cycles += elapsed
+        stats.busy_cycles += elapsed
+        stats.instructions += n_instr
+        thread.pc = pc
+
+        if outcome == OUT_PAUSE:
+            if t == now:
+                self._stalled(thread, now)
+            if self._sec:
+                # switch-every-cycle rotates after every burst: a pause
+                # (resume t, flush 0) becomes a taken switch.
+                outcome = OUT_SWITCH
+        if outcome == OUT_SWITCH:
+            stats.switches += 1
+            run = run0 + t  # inlined stats.record_run
+            if run > 0:
+                stats.run_lengths[run] += 1
+            thread.run_cycles = 0
+            thread.resume_time = resume
+            if tracer is not None:
+                tracer.switch_taken(t, self.pid, thread.tid, resume)
+            if flush:
+                stats.switch_overhead_cycles += flush
+                t += flush
+        elif outcome == OUT_HALT:
+            stats.record_run(run0 + t)
+            thread.run_cycles = 0
+            thread.halted = True
+            thread.halt_time = t
+            sim.thread_halted(t)
+            if tracer is not None:
+                tracer.thread_halt(t, self.pid, thread.tid)
+        else:  # PAUSE / YIELD: the run continues across the boundary.
+            thread.run_cycles = run0 + t
+            thread.resume_time = resume
         if tracer is not None:
-            tracer.burst(now, self.pid, thread.tid, t_end, outcome)
+            tracer.burst(now, self.pid, thread.tid, t, outcome)
         if outcome == OUT_PAUSE:
             # Inlined sim.schedule (priority 2): one dispatch per burst
             # makes the method-call overhead measurable.
             sim._seq = seq = sim._seq + 1
-            heappush(sim._heap, (t_end, 2, seq, self.dispatch_event, None))
+            heappush(sim._heap, (t, 2, seq, self.dispatch_event, None))
         else:
-            self._schedule_next(t_end)
+            self._schedule_next(t)
+
+    def _stalled(self, thread: ThreadContext, now: int) -> None:
+        """Count a pause that ran nothing at cycle *now*; past
+        :data:`STALL_LIMIT` of them the run has stopped making progress
+        (``Simulator.run`` bounds only cycles), so raise naming what the
+        thread waits on."""
+        if now != self._stall_cycle:
+            self._stall_cycle = now
+            self._stalls = 0
+        self._stalls += 1
+        if self._stalls <= STALL_LIMIT:
+            return
+        due = ", ".join(
+            f"{reg_name(reg)}@{ready}"
+            for reg, ready in sorted(thread.inflight.items())
+            if ready <= now
+        )
+        raise SimulationTimeout(
+            f"no progress: processor {self.pid} paused {self._stalls} times "
+            f"at cycle {now} without running an instruction (thread "
+            f"{thread.tid}, pc {thread.pc}, registers due by then: "
+            f"{due or 'none'}) [{self.sim.describe()}]"
+        )
 
     def _schedule_next(self, t: int) -> None:
         """Strict round-robin: advance to the next live thread and wait for
@@ -178,10 +299,14 @@ class Processor:
 
     # -- the interpreter ----------------------------------------------------------
 
-    def _burst(self, thread: ThreadContext, now: int):
-        """Execute the current thread until a burst-ending condition.
+    def _burst(self, thread: ThreadContext, t: int, deadline: int, run0: int,
+               pc: int):
+        """Execute *thread* from *pc* at cycle *t* until a burst-ending
+        condition, under the block contract (see :meth:`dispatch_event`).
 
-        Returns ``(outcome, t_end)``; updates thread and statistics.
+        Returns ``(outcome, t, pc, n, resume, flush)``: the outcome, the
+        cycle and pc it ended at, the instructions executed, when the
+        thread may resume and the switch's flush cycles.
         """
         sim = self.sim
         stats = sim.stats
@@ -199,12 +324,7 @@ class Processor:
         tracer = sim.tracer
         evaluators = self.evaluators
 
-        t = now
-        deadline = now + self.burst_limit
-        pc = thread.pc
-        run0 = thread.run_cycles - now  # run length = run0 + t at any point
         n_instr = 0
-
         outcome = -1
         resume = t
         flush = 0
@@ -485,62 +605,4 @@ class Processor:
                     break
                 # IDEAL / MISS / USE_MISS ignore stray SWITCH opcodes.
 
-        # -- burst bookkeeping ----------------------------------------------------
-        elapsed = t - now
-        self.busy_cycles += elapsed
-        stats.busy_cycles += elapsed
-        stats.instructions += n_instr
-        thread.pc = pc
-
-        if outcome == OUT_SWITCH:
-            stats.switches += 1
-            run = run0 + t  # inlined stats.record_run
-            if run > 0:
-                stats.run_lengths[run] += 1
-            thread.run_cycles = 0
-            thread.resume_time = resume
-            if tracer is not None:
-                tracer.switch_taken(t, pid, thread.tid, resume)
-            if flush:
-                stats.switch_overhead_cycles += flush
-                return OUT_SWITCH, t + flush
-            return OUT_SWITCH, t
-        if outcome == OUT_HALT:
-            stats.record_run(run0 + t)
-            thread.run_cycles = 0
-            thread.halted = True
-            thread.halt_time = t
-            sim.thread_halted(t)
-            if tracer is not None:
-                tracer.thread_halt(t, pid, thread.tid)
-            return OUT_HALT, t
-        # PAUSE / YIELD: the run continues across the boundary.
-        thread.run_cycles = run0 + t
-        thread.resume_time = resume
-        return outcome, t
-
-    def _burst_sec(self, thread: ThreadContext, now: int):
-        """switch-every-cycle: one instruction, then rotate (HEP style).
-
-        Implemented by running the main interpreter with a one-cycle
-        deadline so exactly one instruction executes, then forcing a
-        rotation.  Shared loads behave like switch-on-load.  (The
-        model/burst-limit rewrite happened once, in ``__init__``.)
-        """
-        outcome, t_end = self._burst(thread, now)
-        if outcome == OUT_PAUSE:
-            # The single instruction completed without a model switch:
-            # convert the artificial pause into a taken rotation.
-            stats = self.sim.stats
-            stats.switches += 1
-            run = thread.run_cycles  # inlined stats.record_run
-            if run > 0:
-                stats.run_lengths[run] += 1
-            thread.run_cycles = 0
-            thread.resume_time = t_end
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.switch_taken(t_end, self.pid, thread.tid, t_end)
-            return OUT_SWITCH, t_end
-        return outcome, t_end
-
+        return outcome, t, pc, n_instr, resume, flush

@@ -197,18 +197,14 @@ class Simulator:
         #: contract: a tracer whose ``enabled`` flag is false is dropped
         #: *here*, so every hot path pays exactly one ``is not None``
         #: check and nothing else when tracing is off.  Normalized before
-        #: the processors exist: the compiled backend specializes its
-        #: generated code on whether a tracer is attached.
+        #: the processors exist: a traced run keeps the interpreter even
+        #: on the compiled backend.
         if tracer is not None and not tracer.enabled:
             tracer = None
         if tracer is None and config.record_timeline:
             tracer = TimelineTracer()
         self.tracer: Optional[Tracer] = tracer
 
-        #: Which execution backend runs the bursts.  Backends are
-        #: bit-identical by contract, so this is *not* part of
-        #: MachineConfig (and never reaches config keys, golden fixtures
-        #: or cache payloads) — it only selects the processor class.
         self._heap: List = []
         self._seq = 0
         self.now = 0
@@ -261,18 +257,18 @@ class Simulator:
         #: delivered, so only adds whose reply is in flight remain.
         self._faa_replay = {}
 
+        #: Which execution backend runs the bursts.  Backends are
+        #: bit-identical by contract, so this is *not* part of
+        #: MachineConfig (and never reaches config keys, golden fixtures
+        #: or cache payloads) — it only selects the function each
+        #: processor calls behind a pc.
         self.backend = resolve_backend(backend)
-        if self.backend == "compiled":
-            from repro.jit.driver import CompiledProcessor as processor_cls
-        else:
-            processor_cls = Processor
-
         self.processors: List[Processor] = []
         per = config.threads_per_processor
         for pid in range(config.num_processors):
             group = self.threads[pid * per : (pid + 1) * per]
             cache = Cache(config.cache) if config.model.uses_cache else None
-            self.processors.append(processor_cls(self, pid, group, cache))
+            self.processors.append(Processor(self, pid, group, cache))
 
     @property
     def timeline(self) -> Optional[List]:

@@ -11,6 +11,7 @@ import pytest
 from repro.engine import Engine, ResultCache, RunSpec
 from repro.engine import executor as executor_module
 from repro.machine.simulator import SimulationTimeout
+from repro.obs.spans import SpanRecorder
 
 _REAL_EXECUTE = executor_module.execute_spec
 
@@ -165,6 +166,24 @@ def test_simulation_timeout_message_carries_machine_context():
     assert "sieve/switch-on-load" in message
     assert "model=switch-on-load" in message
     assert "P=2" in message and "M=2" in message
+
+
+def test_failed_run_keeps_its_run_span():
+    """A run that raises finishes its open ``run`` span with status
+    ``error`` under its ``simulate`` span, so the failed run's time is
+    not counted as ``simulate`` self time."""
+    recorder = SpanRecorder(capacity=None)
+    spec = _spec("sieve", overrides=(("max_cycles", 50),))
+    with Engine(runlog=False, spans=recorder) as engine:
+        with pytest.raises(SimulationTimeout):
+            engine.run(spec)
+    spans = recorder.spans()
+    (simulate,) = [s for s in spans if s.name == "simulate"]
+    (build,) = [s for s in spans if s.name == "build"]
+    (run,) = [s for s in spans if s.name == "run"]
+    assert simulate.status == "error" and build.status == "ok"
+    assert run.parent_id == simulate.span_id and run.status == "error"
+    assert simulate.start <= run.start <= run.end <= simulate.end
 
 
 def test_predicted_tolerates_keys_recorded_mid_loop(monkeypatch):

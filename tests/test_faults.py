@@ -1,9 +1,12 @@
 """Fault-injection subsystem: configs, latency models, NACK/retry."""
 
 import dataclasses
+import signal
 
 import pytest
 
+from repro.engine.executor import _build
+from repro.engine.spec import RunSpec
 from repro.faults import (
     FaultConfig,
     FaultPlan,
@@ -17,7 +20,8 @@ from repro.faults.latency import (
     UniformJitterLatency,
 )
 from repro.faults.rng import bounded, hash_u64, mix64, unit
-from repro.machine import SwitchModel
+from repro.machine import SimulationTimeout, Simulator, SwitchModel
+from repro.runtime.execution import run_app
 from conftest import run_asm
 
 
@@ -246,6 +250,43 @@ def test_total_loss_exhausts_retry_budget(asm, model, thread, backend):
         f"(processor 0, thread {thread}) [model={model.value} P=1 M=1 "
         f"latency=200 faults=constant/loss=1.0/delay=0.0/seed=0]"
     )
+
+
+@pytest.mark.parametrize("backend", ["interpreter", "compiled"])
+@pytest.mark.parametrize("model", ["switch-on-load", "switch-every-cycle"])
+def test_stalled_scoreboard_raises_no_progress(monkeypatch, model, backend):
+    """The progress guard's seeded bug: with the NACK path's ``_restamp``
+    patched out, a reissued or delayed load leaves its register's
+    scoreboard entry at the old due cycle, which no reply ever clears,
+    so the thread pauses at one cycle without running, forever.  The
+    run must fail naming the stall instead of hanging; the alarm turns
+    a hang into a failure.  switch-on-load runs compiled blocks on the
+    compiled backend; switch-every-cycle turns each pause into a
+    rotation and keeps the interpreter on both."""
+    monkeypatch.setattr(Simulator, "_restamp", lambda self, rec: None)
+    spec = RunSpec.create(
+        "sieve", model=model, processors=2, level=2, scale="tiny",
+        faults=FaultConfig(loss_rate=0.03, delay_rate=0.05, delay_cycles=32,
+                           seed=11),
+    )
+    app, program = _build(spec.app, spec.total_threads,
+                          spec.effective_code_model.value, spec.scale)
+
+    def hang(signum, frame):
+        raise AssertionError("the stalled run did not end")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(20)
+    try:
+        with pytest.raises(SimulationTimeout, match="no progress") as info:
+            run_app(app, spec.machine_config(), program=program,
+                    backend=backend)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    message = str(info.value)
+    assert "times at cycle" in message and "registers due by then: r" in message
+    assert f"model={model}" in message
 
 
 def test_delayed_replies_slow_the_run_but_deliver():

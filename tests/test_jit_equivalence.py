@@ -19,6 +19,10 @@ never hands one program code compiled for a different one:
 * the full grid again, with a random third of each program's pcs
   compiled first in random order, because which function ends up
   serving a region depends on the order entries are first reached.
+
+Traced and switch-every-cycle runs on the compiled backend keep the
+interpreter behind every pc; a test below pins that they compile
+nothing and match the interpreter's event stream too.
 """
 
 import json
@@ -38,6 +42,8 @@ from repro.isa import assemble
 from repro.isa.registers import reg_index
 from repro.jit import compile_seconds_for
 from repro.machine import SwitchModel
+from repro.obs import RingTracer
+from repro.obs.events import event_to_record
 from repro.obs.spans import SpanRecorder
 from repro.runtime.execution import make_simulator
 
@@ -279,3 +285,42 @@ def test_traced_engine_run_of_shared_content_records_no_compile():
     for span in compiles:
         assert span.duration <= runs[span.parent_id].duration
     assert compiles == []
+
+
+@pytest.mark.parametrize("model, traced", [
+    ("explicit-switch", True),
+    ("switch-every-cycle", False),
+    ("switch-every-cycle", True),
+])
+def test_traced_and_switch_every_cycle_runs_keep_the_interpreter(model,
+                                                                 traced):
+    """A traced run and a switch-every-cycle run on the compiled backend
+    keep the interpreter behind every pc: they compile nothing, and their
+    SimStats and event stream match the interpreter's bit for bit.  The
+    same explicit-switch spec untraced does compile, so the first case
+    is not vacuous.  Each program gets an empty table of its own."""
+    spec = RunSpec(app="synth:4242", model=model, processors=2, level=2,
+                   scale="tiny")
+    shape = (spec.app, spec.total_threads, spec.effective_code_model.value,
+             spec.scale, True)
+
+    def run(backend, tracer=None):
+        built, program = _build.__wrapped__(*shape)
+        program._jit_variants = {}
+        result = make_simulator(built, spec.machine_config(), program=program,
+                                tracer=tracer, backend=backend).run()
+        return result, _compiled_blocks(program)
+
+    seen = {}
+    for backend in ("interpreter", "compiled"):
+        tracer = RingTracer(capacity=None) if traced else None
+        result, blocks = run(backend, tracer)
+        assert blocks == 0, f"{backend} compiled {blocks} blocks"
+        events = ([event_to_record(e) for e in tracer.events()]
+                  if traced else None)
+        seen[backend] = (result.wall_cycles, result.stats.to_dict(), events)
+    assert seen["compiled"] == seen["interpreter"]
+    if traced:
+        assert seen["compiled"][2]
+    if model == "explicit-switch":
+        assert run("compiled")[1] > 0
