@@ -10,7 +10,8 @@ These probe the design choices DESIGN.md calls out:
 * *switch-cost sensitivity* — what pipeline-flush cost does to the
   switch-on-miss model (the paper's Section 3 zero-cost argument);
 * *forced-interval study* — Section 6.2's critical-section fix: turn the
-  200-cycle cap off and watch lock-heavy ugray degrade;
+  200-cycle cap off and watch lock-heavy ugray livelock (the uncapped
+  probe is bounded by ``PROBE_MARGIN`` x the slowest capped run);
 * *fault sensitivity* — latency jitter, hot-spot contention and dropped
   replies (NACK/retry) vs the explicit- vs conditional-switch ranking;
 * *degradation sweep* — seed-deterministic component lifecycles
@@ -27,6 +28,11 @@ from typing import Dict, List, Tuple
 from repro.analysis.tablefmt import TextTable
 from repro.machine.models import SwitchModel
 from repro.harness.context import ExperimentContext
+
+#: The uncapped forced-interval probe is reported as a livelock once it
+#: has run this many times as long as the slowest capped interval that
+#: finished.
+PROBE_MARGIN = 4
 
 _SWEEP_MODELS = [
     SwitchModel.SWITCH_ON_LOAD,
@@ -152,15 +158,32 @@ def forced_interval_study(
     )
     data: Dict[int, Dict] = {}
     # Without the cap a thread spinning on cache hits can starve the lock
-    # holder forever (the very problem Section 6.2 fixes), so bound the
-    # simulation (generously: ~40x the zero-latency serial time) and
-    # report a livelock as zero efficiency.
+    # holder forever (the very problem Section 6.2 fixes), so every run is
+    # bounded and a livelock is reported as zero efficiency.  The capped
+    # intervals get 40x the zero-latency serial time.  Removing the cap
+    # only removes rotations, so the uncapped probe then gets
+    # PROBE_MARGIN x the slowest capped run that finished: past that it is
+    # starving, which is what its row reports.
     budget = 40 * ctx.t1(app_name)
     from repro.machine.simulator import SimulationTimeout
 
-    # Prefetch with failures recorded, not raised: a livelocked interval
-    # surfaces as the memoised SimulationTimeout below, exactly where the
-    # serial loop would hit it.
+    def attempt(interval: int, max_cycles: int):
+        try:
+            return ctx.run(
+                app_name,
+                SwitchModel.CONDITIONAL_SWITCH,
+                ctx.processors,
+                level,
+                forced_switch_interval=interval,
+                max_cycles=max_cycles,
+            )
+        except SimulationTimeout:
+            return None
+
+    capped = [interval for interval in intervals if interval]
+    # Prefetch with failures recorded, not raised: a capped interval that
+    # times out surfaces as the memoised SimulationTimeout in attempt(),
+    # exactly where the serial loop would hit it.
     ctx.prefetch(
         ctx.spec(
             app_name,
@@ -170,19 +193,17 @@ def forced_interval_study(
             forced_switch_interval=interval,
             max_cycles=budget,
         )
-        for interval in intervals
+        for interval in capped
     )
+    results = {interval: attempt(interval, budget) for interval in capped}
+    finished = [r.wall_cycles for r in results.values() if r is not None]
+    # If no capped interval finished, the probe keeps the full budget.
+    probe_budget = min(budget, PROBE_MARGIN * max(finished, default=budget))
+    if 0 in intervals:
+        results[0] = attempt(0, probe_budget)
     for interval in intervals:
-        try:
-            result = ctx.run(
-                app_name,
-                SwitchModel.CONDITIONAL_SWITCH,
-                ctx.processors,
-                level,
-                forced_switch_interval=interval,
-                max_cycles=budget,
-            )
-        except SimulationTimeout:
+        result = results[interval]
+        if result is None:
             table.add_row([interval if interval else "off", "livelock", "-"])
             data[interval] = {"efficiency": 0.0, "forced": None}
             continue
@@ -198,6 +219,8 @@ def forced_interval_study(
             "efficiency": efficiency,
             "forced": result.stats.forced_switches,
         }
+    if 0 in data:
+        data[0]["max_cycles"] = probe_budget
     return table.render(), data
 
 

@@ -10,6 +10,7 @@ from repro.harness.ablations import (
     switch_cost_sensitivity,
     forced_interval_study,
 )
+from repro.machine import SwitchModel
 
 
 @pytest.fixture(scope="module")
@@ -73,10 +74,30 @@ def test_switch_cost_monotone(ctx):
 
 
 def test_forced_interval_handles_livelock(ctx):
-    _text, data = forced_interval_study(
+    text, data = forced_interval_study(
         ctx, app_name="ugray", intervals=[0, 200], level=2
     )
     assert set(data) == {0, 200}
     assert data[200]["efficiency"] > 0.0
     # interval 0 either livelocks (None) or completes; both are recorded.
     assert "efficiency" in data[0]
+    # The uncapped probe is bounded by 4x the slowest capped run that
+    # finished, well inside the capped runs' 40 x t1.
+    full = 40 * ctx.t1("ugray")
+    capped = ctx.run(
+        "ugray", SwitchModel.CONDITIONAL_SWITCH, 2, 2,
+        forced_switch_interval=200, max_cycles=full,
+    )
+    assert data[0]["max_cycles"] == min(full, 4 * capped.wall_cycles)
+    assert data[0]["max_cycles"] < full
+    # The shorter probe still reports the livelock: the rendered table is
+    # the one the full 40 x t1 probe gave.
+    assert text == (
+        "Ablation: conditional-switch forced interval, ugray (P=2, M=2)\n"
+        "---------+------------+----------------\n"
+        "interval | efficiency | forced switches\n"
+        "---------+------------+----------------\n"
+        "     off |   livelock |               -\n"
+        "     200 |       0.60 |              51\n"
+        "---------+------------+----------------"
+    )

@@ -5,6 +5,7 @@ import pytest
 from repro.engine import Engine, RunSpec
 from repro.harness import ExperimentContext
 from repro.harness import tables as T
+from repro.harness.ablations import forced_interval_study
 from repro.machine import SwitchModel
 from repro.machine.simulator import SimulationTimeout
 
@@ -80,14 +81,17 @@ def test_run_many_call_level_overrides_restore_engine_settings():
 
 
 def test_parallel_table2_rendering_matches_serial():
+    # The forced-interval study runs in two waves: its capped intervals
+    # through the pool, then the livelock probe in-process with a budget
+    # taken from them.  Both must render what the serial run does.
+    studies = (T.table2, forced_interval_study)
     with ExperimentContext(scale="tiny", processors=2, max_level=4) as serial_ctx:
-        serial_text, serial_data = T.table2(serial_ctx)
+        serial = [study(serial_ctx) for study in studies]
     with ExperimentContext(
         scale="tiny", processors=2, max_level=4, workers=2
     ) as parallel_ctx:
-        parallel_text, parallel_data = T.table2(parallel_ctx)
-    assert parallel_text == serial_text
-    assert parallel_data == serial_data
+        parallel = [study(parallel_ctx) for study in studies]
+    assert parallel == serial  # (text, data) per study
 
 
 def test_prefetch_is_noop_on_serial_context():
