@@ -117,7 +117,8 @@ def simulate(
         from repro.runtime.execution import run_app
 
         app, program = _build(
-            spec.app, spec.total_threads, spec.effective_code_model.value, spec.scale
+            spec.app, spec.total_threads, spec.effective_code_model.value,
+            spec.scale, False,
         )
         return run_app(
             app, spec.machine_config(), program=program, tracer=tracer,

@@ -29,7 +29,6 @@ import multiprocessing
 import os
 import sys
 import time
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import dataclasses
@@ -75,7 +74,6 @@ def _build(app_name: str, nthreads: int, code_model: str, scale: str,
 
 def _execute_payload(
     spec: RunSpec,
-    include_shared: bool = False,
     lint: bool = False,
     span_context=None,
 ) -> Tuple[Optional[SimulationResult], Dict]:
@@ -83,7 +81,9 @@ def _execute_payload(
 
     The single execution funnel behind both the pool worker
     (:func:`execute_spec`) and the in-process serial path.  Never
-    raises: failures come back as ``{"error": {...}}`` payloads.
+    raises: failures come back as ``{"error": {...}}`` payloads.  The
+    payload carries no ``"result"``: only the callers that ship it
+    across a process or onto disk serialize the live result.
 
     *span_context* is a ``(trace_id, parent_span_id)`` pair — the
     submitting request's trace crossing the ``ProcessPoolExecutor``
@@ -105,6 +105,7 @@ def _execute_payload(
             attributes={"spec": spec.label(), "worker": os.getpid()},
         )
     start = time.perf_counter()
+    payload: Dict = {"spec": spec.to_dict()}
     try:
         if recorder is not None:
             stage = recorder.start("build", parent=simulate_span)
@@ -145,49 +146,37 @@ def _execute_payload(
                 jit_span.end = run_span.start + compile_delta
                 recorder.record(jit_span)
             recorder.finish(simulate_span)
-        payload = {
-            "spec": spec.to_dict(),
-            "result": result.to_dict(include_shared=include_shared),
-            "elapsed": time.perf_counter() - start,
-            "worker": os.getpid(),
-            "peak_rss_kb": peak_rss_kb(),
-        }
-        if recorder is not None:
-            payload["spans"] = [span.to_dict() for span in recorder.spans()]
-        return result, payload
     except Exception as error:  # noqa: BLE001 — must cross process boundary
-        payload = {
-            "spec": spec.to_dict(),
-            # The spec label makes the payload triageable from the
-            # runlog alone (which app/model/shape failed, not just why).
-            "error": {
-                "type": type(error).__name__,
-                "message": f"{spec.label()}: {error}",
-            },
-            "elapsed": time.perf_counter() - start,
-            "worker": os.getpid(),
-            "peak_rss_kb": peak_rss_kb(),
+        result = None
+        # The spec label makes the payload triageable from the runlog
+        # alone (which app/model/shape failed, not just why).
+        payload["error"] = {
+            "type": type(error).__name__,
+            "message": f"{spec.label()}: {error}",
         }
         if recorder is not None:
             if stage is not None:
                 recorder.finish(stage, status="error")
             recorder.finish(simulate_span, status="error")
-            payload["spans"] = [span.to_dict() for span in recorder.spans()]
-        return None, payload
+    payload["elapsed"] = time.perf_counter() - start
+    payload["worker"] = os.getpid()
+    payload["peak_rss_kb"] = peak_rss_kb()
+    if recorder is not None:
+        payload["spans"] = [span.to_dict() for span in recorder.spans()]
+    return result, payload
 
 
 def execute_spec(
     spec: RunSpec,
-    include_shared: bool = False,
     lint: bool = False,
     span_context=None,
 ) -> Dict:
-    """Simulate one spec and return its payload dictionary.
-
-    Runs in worker processes (top-level so it pickles) and in-process for
-    the serial path; see :func:`_execute_payload` for the semantics.
-    """
-    _live, payload = _execute_payload(spec, include_shared, lint, span_context)
+    """Simulate one spec and return its payload dictionary, the result
+    serialized under ``"result"`` — the worker pool's entry point (top
+    level, so it pickles); see :func:`_execute_payload`."""
+    result, payload = _execute_payload(spec, lint, span_context)
+    if result is not None:
+        payload["result"] = result.to_dict()
     return payload
 
 
@@ -212,16 +201,13 @@ class Engine:
     :param workers: worker processes for :meth:`run_many`; ``1`` means
         serial in-process execution.
     :param cache: a :class:`ResultCache`, a cache-directory path, or
-        ``None`` to disable on-disk persistence.
+        ``None`` to disable on-disk persistence.  With a cache, every run
+        that misses the memo is also logged to the JSONL run log next to
+        it (:attr:`ResultCache.runlog_path`).
     :param timeout: optional per-run wall-clock budget in seconds
         (parallel mode only; a run exceeding it is recorded as failed).
     :param progress: optional callback receiving one event dictionary
         per completed/cached/failed run (see :func:`stderr_progress`).
-    :param runlog: where the per-run JSONL telemetry log goes.  ``None``
-        (default) puts it next to the result cache
-        (:attr:`ResultCache.runlog_path`) when a cache is configured and
-        disables it otherwise; ``False`` disables it explicitly; a path
-        sends it there.  Memo hits are not logged (they touch nothing).
     :param lint: statically verify every program before simulating it
         (:mod:`repro.lint`); error-severity findings fail the run the
         same way a simulation error would.
@@ -232,11 +218,12 @@ class Engine:
         bit-identical, so this only changes wall-clock speed — never
         results, and never cache keys.
     :param spans: a :class:`~repro.obs.spans.SpanRecorder` receiving
-        wall-clock stage spans (cache-lookup / dispatch / simulate /
-        deserialize) per resolved spec.  Disabled recorders are
-        normalised to ``None`` (the tracer contract), so the default
-        costs one ``is not None`` check per stage.  Spans never enter
-        the result cache — payloads are stripped before persisting.
+        wall-clock stage spans (cache-lookup / dispatch / simulate, and
+        deserialize for disk hits and pool runs) per resolved spec.
+        Disabled recorders are normalised to ``None`` (the tracer
+        contract), so the default costs one ``is not None`` check per
+        stage.  Spans never enter the result cache — payloads are
+        stripped before persisting.
     """
 
     def __init__(
@@ -245,7 +232,6 @@ class Engine:
         cache: Union[ResultCache, str, None] = None,
         timeout: Optional[float] = None,
         progress: Optional[ProgressFn] = None,
-        runlog: Union[str, Path, bool, None] = None,
         lint: bool = False,
         backend: Optional[str] = None,
         spans: Optional[SpanRecorder] = None,
@@ -266,12 +252,7 @@ class Engine:
         self.cache = cache
         self.timeout = timeout
         self.progress = progress
-        if runlog is None:
-            self.runlog_path = cache.runlog_path if cache is not None else None
-        elif runlog is False:
-            self.runlog_path = None
-        else:
-            self.runlog_path = Path(runlog)
+        self.runlog_path = cache.runlog_path if cache is not None else None
         self._runlog_writer: Optional[RunLogWriter] = None
         self._peak_rss_kb: Optional[int] = None
         self._memo: Dict[str, SimulationResult] = {}
@@ -503,10 +484,18 @@ class Engine:
             self.runlog_path = None
 
     def _absorb(
-        self, spec: RunSpec, key: str, payload: Dict, source: str, total: int
-    ) -> Optional[SimulationResult]:
-        """Fold one payload into the memo + counters; returns the restored
-        result, or ``None`` (and records the failure) for error payloads."""
+        self,
+        spec: RunSpec,
+        key: str,
+        payload: Dict,
+        source: str,
+        total: int,
+        result: Optional[SimulationResult] = None,
+    ) -> None:
+        """Fold one payload into the memo + counters, or record the
+        failure of an error payload.  *result* is the live result of an
+        in-process run; without it the result is restored from the
+        payload (disk hits and pool runs)."""
         recorder = self.spans
         if recorder is not None and payload.get("spans"):
             # Worker-side spans came back inside the payload; they
@@ -519,15 +508,16 @@ class Engine:
             self._counts["failed"] += 1
             self._log_run(spec, key, payload, "failed", None)
             self._notify(spec, "failed", elapsed, total)
-            return None
-        if recorder is not None:
-            deserialize_span = recorder.start(
-                "deserialize", parent=self._trace,
-                attributes={"spec": spec.label(), "source": source},
-            )
-        result = SimulationResult.from_dict(payload["result"])
-        if recorder is not None:
-            recorder.finish(deserialize_span)
+            return
+        if result is None:
+            if recorder is not None:
+                deserialize_span = recorder.start(
+                    "deserialize", parent=self._trace,
+                    attributes={"spec": spec.label(), "source": source},
+                )
+            result = SimulationResult.from_dict(payload["result"])
+            if recorder is not None:
+                recorder.finish(deserialize_span)
         self._memo[key] = result
         self._record_predict_key(spec)
         if source == "run":
@@ -541,7 +531,6 @@ class Engine:
             self._counts["cached"] += 1
         self._log_run(spec, key, payload, source, result.wall_cycles)
         self._notify(spec, source, elapsed, total)
-        return result
 
     def _from_disk(self, key: str) -> Optional[Dict]:
         return self.cache.get(key) if self.cache is not None else None
@@ -568,90 +557,31 @@ class Engine:
 
     def run(self, spec: RunSpec) -> SimulationResult:
         """Execute (or recall) one spec; raises on failure."""
-        saved = self._trace
-        if self.spans is not None and saved is None:
-            # No ambient trace: root a fresh one so this call's spans
-            # (cache-lookup, dispatch, simulate...) share a trace id.
-            self._trace = SpanContext(new_trace_id(), new_span_id())
-        try:
-            return self._run_one(spec)
-        finally:
-            self._trace = saved
+        return self.run_many([spec])[0]
 
-    def _run_one(self, spec: RunSpec) -> SimulationResult:
-        spec = self._effective(spec)
-        key = spec.key()
-        recorder = self.spans
-        lookup = (
-            recorder.start(
-                "cache-lookup", parent=self._trace,
-                attributes={"spec": spec.label()},
-            )
-            if recorder is not None
-            else None
-        )
-        if key in self._memo:
-            self._counts["memo_hits"] += 1
-            if lookup is not None:
-                recorder.finish(lookup.set(outcome="memo"))
-            return self._memo[key]
-        if key in self._failures:
-            if lookup is not None:
-                recorder.finish(lookup.set(outcome="memo"))
-            _raise_payload_error(self._failures[key])
-        payload = self._from_disk(key)
-        if lookup is not None:
-            recorder.finish(
-                lookup.set(outcome="hit" if payload is not None else "miss")
-            )
-        if payload is not None:
-            result = self._absorb(spec, key, payload, "cached", total=1)
-            if result is None:
-                _raise_payload_error(self._failures[key])
-            return result
-        live, payload = self._execute_local(spec)
-        self._persist(key, payload)
-        restored = self._absorb(spec, key, payload, "run", total=1)
-        if restored is None:
-            _raise_payload_error(self._failures[key])
-        # In-process execution produced a live result (shared memory and
-        # thread contexts attached); prefer it over the JSON round-trip so
-        # direct callers keep full fidelity.  Cached/parallel paths return
-        # the restored object — the analysis layer never needs more.
-        if live is not None:
-            self._memo[key] = live
-            return live
-        return restored
-
-    def _execute_local(
-        self, spec: RunSpec
-    ) -> Tuple[Optional[SimulationResult], Dict]:
-        """In-process execution returning (live result | None, payload).
+    def _run_serial_one(self, spec: RunSpec, key: str, total: int) -> None:
+        """Execute one spec in-process and memoise its live result.
 
         When spans are recording, the execution is wrapped in a
         ``dispatch`` span exactly like a pool submission, so serial and
-        pooled runs produce the same span tree shape.
+        pooled runs produce the same span tree shape.  The result is
+        serialized only when a cache persists it.
         """
         recorder = self.spans
-        if recorder is None:
-            return _execute_payload(spec, lint=self.lint)
-        dispatch = recorder.start(
-            "dispatch", parent=self._trace,
-            attributes={"spec": spec.label(), "mode": "serial"},
-        )
-        live, payload = _execute_payload(
-            spec, lint=self.lint,
-            span_context=(dispatch.trace_id, dispatch.span_id),
-        )
-        recorder.finish(dispatch, status="ok" if "error" not in payload else "error")
-        return live, payload
-
-    def _run_serial_one(self, spec: RunSpec, key: str, total: int) -> None:
-        live, payload = self._execute_local(spec)
+        dispatch = span_context = None
+        if recorder is not None:
+            dispatch = recorder.start(
+                "dispatch", parent=self._trace,
+                attributes={"spec": spec.label(), "mode": "serial"},
+            )
+            span_context = (dispatch.trace_id, dispatch.span_id)
+        result, payload = _execute_payload(spec, self.lint, span_context)
+        if result is not None and self.cache is not None:
+            payload["result"] = result.to_dict()
+        if dispatch is not None:
+            recorder.finish(dispatch, status="ok" if result is not None else "error")
         self._persist(key, payload)
-        self._absorb(spec, key, payload, "run", total)
-        if live is not None:
-            self._memo[key] = live
+        self._absorb(spec, key, payload, "run", total, result)
 
     #: Fresh worker pools tried after a pool death before degrading to
     #: serial execution (one transient crash — an OOM-killed worker —
@@ -694,9 +624,7 @@ class Engine:
                         attributes={"spec": spec.label(), "mode": "pool"},
                     )
                     span_context = (dispatch.trace_id, dispatch.span_id)
-                future = pool.submit(
-                    execute_spec, spec, False, self.lint, span_context
-                )
+                future = pool.submit(execute_spec, spec, self.lint, span_context)
                 deadline = (
                     time.monotonic() + self.timeout
                     if self.timeout is not None

@@ -120,15 +120,12 @@ def lint_app_model(
     scale: str = "tiny",
 ) -> LintReport:
     """Build benchmark *app* at *scale*, lower it for *model*, and lint
-    original + prepared as a pair."""
-    from repro.apps.registry import get_app
-    from repro.compiler.passes import prepare_for_model
-    from repro.harness.sizes import sizes_for
+    original + prepared as a pair.  The program comes from the engine's
+    build cache, so linting what the engine ran builds nothing."""
+    from repro.engine.executor import _build
 
     resolved = SwitchModel.parse(model)
-    spec = get_app(app)
-    built = spec.build(nthreads, **sizes_for(app, scale))
-    prepared = prepare_for_model(built.program, resolved)
+    built, prepared = _build(app, nthreads, resolved.value, scale, False)
     return lint_pair(built.program, prepared, resolved)
 
 
@@ -170,15 +167,11 @@ def predict_spec_cached(
     different model than the machine runs (the reorganisation-penalty
     experiments); the bounds always describe the *machine* model's
     switching semantics over that code."""
-    from repro.apps.registry import get_app
-    from repro.compiler.passes import prepare_for_model
-    from repro.harness.sizes import sizes_for
+    from repro.engine.executor import _build
 
     resolved = SwitchModel.parse(model)
     lowered = SwitchModel.parse(code_model) if code_model else resolved
-    spec = get_app(app)
-    built = spec.build(processors * level, **sizes_for(app, scale))
-    prepared = prepare_for_model(built.program, lowered)
+    _app, prepared = _build(app, processors * level, lowered.value, scale, False)
     return predict_prepared(
         prepared,
         resolved,

@@ -142,20 +142,6 @@ class Histogram:
                 return min(float(2 ** bucket), float(self.max))
         return float(self.max)
 
-    def percentile(self, fraction: float) -> float:
-        """Upper bucket bound below which *fraction* of observations fall
-        (conservative; exact min/max are reported separately).  Prefer
-        :meth:`quantile`, which additionally clamps by the observed max."""
-        if not self.count:
-            return 0.0
-        threshold = fraction * self.count
-        seen = 0
-        for bucket in sorted(self.buckets):
-            seen += self.buckets[bucket]
-            if seen >= threshold:
-                return float(2 ** bucket)
-        return float(self.max)
-
     def to_dict(self) -> Dict:
         payload = {
             "type": "histogram",
@@ -301,7 +287,7 @@ class MetricsRegistry:
             for name, hist in histograms:
                 lines.append(
                     f"  {name:<{width}}  {hist.count:>10,} {hist.mean:>10.1f} "
-                    f"{hist.percentile(0.5):>8.0f} {hist.percentile(0.95):>8.0f} "
+                    f"{hist.quantile(0.5):>8.0f} {hist.quantile(0.95):>8.0f} "
                     f"{(hist.max if hist.max is not None else 0):>10,.0f}"
                 )
         return "\n".join(lines) if lines else "(no metrics)"

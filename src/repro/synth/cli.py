@@ -52,7 +52,6 @@ def _build_options(args) -> "FuzzOptions":
         lint=not args.no_lint,
         per_thread=not args.no_per_thread,
         shrink=not args.no_shrink,
-        use_engine=not args.direct,
         **kwargs,
     )
 
@@ -228,11 +227,6 @@ def main(argv=None) -> int:
         "--no-per-thread",
         action="store_true",
         help="skip the traced per-thread instruction-count runs",
-    )
-    parser.add_argument(
-        "--direct",
-        action="store_true",
-        help="run in-process instead of through the engine",
     )
     parser.add_argument("--stop-on-failure", action="store_true")
     parser.add_argument(

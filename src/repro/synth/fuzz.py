@@ -87,7 +87,6 @@ class FuzzOptions:
     lint: bool = True
     per_thread: bool = True
     shrink: bool = True
-    use_engine: bool = True
 
     def __post_init__(self) -> None:
         models = tuple(SwitchModel.parse(m).value for m in self.models)
@@ -286,57 +285,6 @@ def _run_grid_direct(
     return grid, violations
 
 
-def _run_grid_engine(
-    name: str, options: FuzzOptions
-) -> Tuple[Dict[str, Dict[str, object]], List[Violation]]:
-    """Run a registry-addressable kernel across the grid through the
-    :class:`~repro.engine.executor.Engine` — one engine per backend, so
-    the fuzzer exercises exactly the execution funnel every CLI uses."""
-    from repro.engine.executor import Engine, EngineRunError
-    from repro.engine.spec import RunSpec
-
-    grid: Dict[str, Dict[str, object]] = {}
-    violations: List[Violation] = []
-    spec_overrides: Dict[str, object] = {}
-    if options.faults is not None:
-        spec_overrides["faults"] = options.faults
-    for backend in options.backends:
-        with Engine(workers=1, cache=None, backend=backend) as engine:
-            for model in options.models:
-                where = f"{model}/{backend}"
-                spec = RunSpec(
-                    app=name,
-                    model=model,
-                    processors=options.processors,
-                    level=options.level,
-                    scale="tiny",
-                    latency=0 if model == "ideal" else options.latency,
-                    overrides=spec_overrides,
-                )
-                try:
-                    result = engine.run(spec)
-                except EngineRunError as error:
-                    message = str(error)
-                    invariant = (
-                        "functional-check"
-                        if "AssertionError" in message
-                        else "run-error"
-                    )
-                    violations.append(
-                        Violation(invariant, f"{where}: {message}")
-                    )
-                    continue
-                grid.setdefault(model, {})[backend] = result
-                for violation in result_violations(result):
-                    violations.append(
-                        Violation(
-                            violation.invariant,
-                            f"{where}: {violation.message}",
-                        )
-                    )
-    return grid, violations
-
-
 def _per_thread_counts(
     app: BuiltApp,
     options: FuzzOptions,
@@ -389,16 +337,12 @@ def _grid_violations(
     app: BuiltApp,
     options: FuzzOptions,
     program_overrides: Optional[Mapping[str, object]] = None,
-    engine_name: Optional[str] = None,
     per_thread: Optional[bool] = None,
 ) -> Tuple[List[Violation], int]:
     """Run the full differential grid for one kernel and return every
     violation plus the number of simulations performed."""
     deterministic = plan["config"]["sync"] == "none"
-    if engine_name is not None and program_overrides is None:
-        grid, violations = _run_grid_engine(engine_name, options)
-    else:
-        grid, violations = _run_grid_direct(app, options, program_overrides)
+    grid, violations = _run_grid_direct(app, options, program_overrides)
     runs = sum(len(cells) for cells in grid.values())
     counts: Optional[Dict[str, Dict[int, int]]] = None
     want_counts = options.per_thread if per_thread is None else per_thread
@@ -477,8 +421,8 @@ def shrink_plan(
     build: BuildFn = _default_build,
 ) -> Dict:
     """Minimal plan (ddmin over top-level segments) still violating
-    *invariant*.  Every candidate is re-run through the direct grid, so
-    the shrunk kernel is guaranteed to reproduce."""
+    *invariant*.  Every candidate is re-run through the grid, so the
+    shrunk kernel is guaranteed to reproduce."""
 
     def still_fails(candidate: Dict) -> bool:
         app, overrides = build(candidate, options.nthreads)
@@ -580,10 +524,7 @@ def fuzz_seed(
     violations: List[Violation] = []
     if options.lint:
         violations.extend(_lint_violations(app, options))
-    engine_name = name if (options.use_engine and config is None) else None
-    grid_violations, runs = _grid_violations(
-        plan, app, options, engine_name=engine_name
-    )
+    grid_violations, runs = _grid_violations(plan, app, options)
     violations.extend(grid_violations)
     outcome = SeedOutcome(
         seed=seed,
@@ -820,7 +761,7 @@ def run_selftest(
     report, functional bugs first; raises :class:`SelfTestError` on any
     miss."""
     base = options or FuzzOptions()
-    options = dataclasses.replace(base, use_engine=False, per_thread=True)
+    options = dataclasses.replace(base, per_thread=True)
     cfg = get_preset(preset)
     plan = generate_plan(seed, cfg)
     original_segments = len(plan_segment_ids(plan))

@@ -150,6 +150,25 @@ def test_cli_smoke(capsys):
         cli_main(["not-a-target"])
 
 
+def test_cli_all_tiny_matches_the_committed_reproduction(capsys):
+    """The whole tiny reproduction, in-process: every table, figure and
+    ablation prints exactly the committed reference, and the engine
+    resolves the same runs, failures, memo hits and cycles."""
+    from pathlib import Path
+
+    reference = (
+        Path(__file__).resolve().parents[1]
+        / "benchmarks" / "ledger" / "data" / "paper_tiny.stdout"
+    )
+    assert cli_main(["all", "--scale", "tiny", "--no-cache", "--quiet"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == reference.read_text(encoding="utf-8")
+    assert (
+        "314 runs (314 simulated [314 interpreter], 1 failed, 56 memo hits), "
+        "3,811,088 cycles"
+    ) in captured.err.splitlines()[-1]
+
+
 def test_cli_json_embeds_engine_report(tmp_path, capsys):
     import json
 

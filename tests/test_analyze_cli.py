@@ -93,7 +93,7 @@ def test_served_results_carry_no_prediction(monkeypatch):
     monkeypatch.setattr(
         "repro.lint.predict_spec_cached", lambda *key: calls.append(key)
     )
-    scheduler = JobScheduler(Engine(workers=1, runlog=False))
+    scheduler = JobScheduler(Engine(workers=1))
     try:
         spec = RunSpec(app="sieve", model="switch-on-load", processors=2,
                        level=2, scale="tiny")

@@ -31,17 +31,17 @@ _SLEEPS = {"sieve": 2.5, "sor": 0.5}
 _KILL_MARKER = ""
 
 
-def _sleepy_execute(spec, include_shared=False, lint=False, span_context=None):
+def _sleepy_execute(spec, lint=False, span_context=None):
     time.sleep(_SLEEPS.get(spec.app, 0.0))
-    return _REAL_EXECUTE(spec, include_shared, lint, span_context)
+    return _REAL_EXECUTE(spec, lint, span_context)
 
 
-def _killer_execute(spec, include_shared=False, lint=False, span_context=None):
+def _killer_execute(spec, lint=False, span_context=None):
     if spec.app == "sor" and not os.path.exists(_KILL_MARKER):
         with open(_KILL_MARKER, "w", encoding="utf-8"):
             pass
         os.kill(os.getpid(), signal.SIGKILL)
-    return _REAL_EXECUTE(spec, include_shared, lint, span_context)
+    return _REAL_EXECUTE(spec, lint, span_context)
 
 
 def _spec(app, **kwargs):
@@ -174,7 +174,7 @@ def test_failed_run_keeps_its_run_span():
     not counted as ``simulate`` self time."""
     recorder = SpanRecorder(capacity=None)
     spec = _spec("sieve", overrides=(("max_cycles", 50),))
-    with Engine(runlog=False, spans=recorder) as engine:
+    with Engine(spans=recorder) as engine:
         with pytest.raises(SimulationTimeout):
             engine.run(spec)
     spans = recorder.spans()
@@ -189,7 +189,7 @@ def test_failed_run_keeps_its_run_span():
 def test_predicted_tolerates_keys_recorded_mid_loop(monkeypatch):
     """``/healthz`` calls ``predicted()`` while the serve scheduler thread
     records keys; a key added during the loop must not abort it."""
-    engine = Engine(workers=1, runlog=False)
+    engine = Engine(workers=1)
     first = RunSpec(app="sieve", model="ideal", processors=2, level=1,
                     scale="tiny")
     late = RunSpec(app="sor", model="ideal", processors=2, level=1,
@@ -215,7 +215,7 @@ def test_reading_the_counters_runs_no_prediction(monkeypatch):
     predicts every program the engine has seen."""
     from repro.serve import JobScheduler
 
-    engine = Engine(workers=1, runlog=False)
+    engine = Engine(workers=1)
     engine.run(RunSpec(app="sieve", model="ideal", processors=2, level=1,
                        scale="tiny"))
     scheduler = JobScheduler(engine)

@@ -272,7 +272,7 @@ def test_traced_engine_run_of_shared_content_records_no_compile():
     blocks = _compiled_blocks(first)
 
     recorder = SpanRecorder(capacity=None)
-    with Engine(workers=1, runlog=False, spans=recorder) as engine:
+    with Engine(workers=1, spans=recorder) as engine:
         engine.run(spec)
     _app, second = _build(*shape, False)  # the program the engine ran
     assert second is not first

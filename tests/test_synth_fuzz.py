@@ -289,7 +289,7 @@ def _doctor_predictions(monkeypatch, calls=None, **fields):
 def test_prediction_adds_no_simulation(monkeypatch):
     calls = []
     _doctor_predictions(monkeypatch, calls)
-    options = dataclasses.replace(QUICK, use_engine=False)
+    options = QUICK
     outcome = fuzz_seed(0, preset="quick", options=options)
     assert outcome.ok, [v.message for v in outcome.violations]
     models = len(options.models)
@@ -303,7 +303,7 @@ def test_prediction_check_skips_faulty_grids_and_overridden_models(
     monkeypatch,
 ):
     _doctor_predictions(monkeypatch, run_max=1)
-    options = dataclasses.replace(QUICK, use_engine=False)
+    options = QUICK
     plan = generate_plan(3, get_preset("quick"))
     app = build_synth_app(plan, options.nthreads)
     override = {"explicit-switch": app.program}
@@ -324,7 +324,7 @@ def test_prediction_check_skips_faulty_grids_and_overridden_models(
 
 def test_predictor_bug_bundle_replays(monkeypatch, tmp_path):
     _doctor_predictions(monkeypatch, run_max=1)
-    options = FuzzOptions(models=("switch-on-load",), use_engine=False)
+    options = FuzzOptions(models=("switch-on-load",))
     outcome = fuzz_seed(3, "quick", options)
     assert outcome.bundle is not None
     assert outcome.bundle["invariant"] == "predict-run-max"
@@ -358,7 +358,7 @@ def test_fuzz_options_round_trip():
 
 
 def _mutated_outcome(seed=3):
-    options = dataclasses.replace(QUICK, use_engine=False)
+    options = QUICK
     plan = generate_plan(seed, get_preset("quick"))
     mutate = MUTATIONS["final-store-skew"]
     app, overrides = mutate(plan, options.nthreads)
