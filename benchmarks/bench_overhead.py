@@ -1,20 +1,16 @@
-"""Disabled-overhead contracts: what observability and fault injection
-cost when they are switched off.
+"""What observability and fault injection cost when they are switched on.
 
-* Cycle tracer (DESIGN §5c): with no tracer — or a tracer whose
-  ``enabled`` flag is false — the interpreter's per-instruction cost is
-  one local load plus one ``is not None`` check.
-* Span recorder (§5h): a :class:`SpanRecorder` whose ``enabled`` flag is
-  false is normalised to ``None`` by :func:`repro.obs.spans.active`, so
-  every instrumented engine layer pays one check per probe site.
-* Faults (§5d, §5i): an inert ``FaultConfig`` — or a lifecycle config
-  that never transitions (``mean_healthy=0``) — costs one extra
-  ``is None`` check per memory issue and nothing per instruction.
+The disabled-overhead contracts need no timing: a disabled tracer or
+span recorder is dropped at construction, and an inert ``FaultConfig``
+or a lifecycle that never transitions builds no fault machinery, so the
+switched-off forms run the bare code.  Tier-1 tests pin that
+normalisation (``test_disabled_tracer_is_dropped_at_construction``,
+``test_active_normalises_disabled_recorders_to_none``,
+``test_engine_drops_a_disabled_recorder`` and
+``test_inert_configs_build_no_fault_machinery``).
 
-Each contract is one interleaved A/B (:func:`_ab`) of a reference sieve
-run, asserting the switched-off variant stays within 3% of the bare
-baseline.  The enabled tracer, the enabled recorder and active faults
-may cost real time: they are measured and sanity-checked, not bounded.
+The enabled tracer, the enabled recorder and active faults may cost
+real time: they are measured and sanity-checked here, not bounded.
 
 Run with ``PYTHONPATH=src python -m pytest -q -s benchmarks/bench_overhead.py``.
 """
@@ -26,12 +22,9 @@ from repro.engine.executor import Engine, _build
 from repro.engine.spec import RunSpec
 from repro.faults import FaultConfig, LifecycleConfig
 from repro.machine.models import SwitchModel
-from repro.obs import NullTracer, RingTracer
-from repro.obs.spans import NullSpanRecorder, SpanRecorder
+from repro.obs import RingTracer
+from repro.obs.spans import SpanRecorder
 from repro.runtime.execution import run_app
-
-REPS = 15
-BUDGET = 0.03
 
 
 def _spec():
@@ -52,9 +45,8 @@ def _time_run(app, program, config, tracer=None):
 
 
 def _time_engine(spans):
-    # A fresh engine per rep keeps the memo cold, so every timing runs
-    # the simulation for real; the program builds themselves stay warm
-    # in _build's lru_cache for both configurations alike.
+    # A fresh engine keeps the memo cold, so the timing runs the
+    # simulation for real.
     engine = Engine(cache=None, spans=spans)
     spec = _spec()
     start = time.perf_counter()
@@ -64,61 +56,10 @@ def _time_engine(spans):
     return elapsed
 
 
-def _ab(name, baseline, variant):
-    """Interleaved A/B of two timing callables (each returns seconds);
-    asserts *variant* costs less than :data:`BUDGET` over *baseline*."""
-    for _ in range(3):  # warm the interpreter, allocator and caches
-        baseline()
-    base, var = [], []
-    for _ in range(REPS):  # interleaved A/B: drift cancels out
-        base.append(baseline())
-        var.append(variant())
-    # Minimum over reps: the classic noise-robust estimate of the true
-    # cost (scheduler blips only ever add time).
-    overhead = min(var) / min(base) - 1.0
-    print(f"\nbaseline {min(base) * 1e3:.1f}ms, {name} "
-          f"{min(var) * 1e3:.1f}ms, overhead {overhead * 100:+.1f}%")
-    assert overhead < BUDGET, (
-        f"{name} costs {overhead * 100:.1f}% (> {BUDGET:.0%} budget)"
-    )
-
-
 def _inert_lifecycle(config):
     return dataclasses.replace(
         config, faults=FaultConfig(lifecycle=LifecycleConfig(mean_healthy=0))
     )
-
-
-def test_disabled_tracer_overhead_under_3_percent():
-    app, program, config = _sieve()
-    _ab("disabled-tracer",
-        lambda: _time_run(app, program, config),
-        lambda: _time_run(app, program, config, NullTracer()))
-
-
-def test_disabled_span_overhead_under_3_percent():
-    _ab("disabled-spans",
-        lambda: _time_engine(None),
-        lambda: _time_engine(NullSpanRecorder()))
-
-
-def test_inert_fault_config_overhead_under_3_percent():
-    app, program, config = _sieve()
-    inert = dataclasses.replace(config, faults=FaultConfig())
-    _ab("inert-faults",
-        lambda: _time_run(app, program, config),
-        lambda: _time_run(app, program, inert))
-
-
-def test_inert_lifecycle_overhead_under_3_percent():
-    """Lifecycles configured, zero transitions: the run must stay on the
-    fast paths (and byte-identical — see the next test and
-    :func:`repro.check.zero_lifecycle_equivalence`)."""
-    app, program, config = _sieve()
-    inert = _inert_lifecycle(config)
-    _ab("inert-lifecycle",
-        lambda: _time_run(app, program, config),
-        lambda: _time_run(app, program, inert))
 
 
 def test_disabled_and_inert_lifecycle_stats_identical():

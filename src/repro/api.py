@@ -118,7 +118,7 @@ def simulate(
 
         app, program = _build(
             spec.app, spec.total_threads, spec.effective_code_model.value,
-            spec.scale, False,
+            spec.scale,
         )
         return run_app(
             app, spec.machine_config(), program=program, tracer=tracer,

@@ -56,9 +56,7 @@ def strip_switches(program: Program, name_suffix: str = STRIPPED_SUFFIX) -> Prog
     return reassemble(blocks, program.name + name_suffix)
 
 
-def prepare_for_model(
-    program: Program, model: SwitchModel, lint: bool = False
-) -> Program:
+def prepare_for_model(program: Program, model: SwitchModel) -> Program:
     """Produce the code a given machine model would run.
 
     * switch-on-load / switch-on-miss / ideal / switch-every-cycle run
@@ -67,20 +65,12 @@ def prepare_for_model(
     * the use models run grouped code with the SWITCH opcodes stripped
       (grouping still clusters the loads ahead of their uses).
 
-    With ``lint=True`` the result is statically verified against the
-    paper's invariants (:mod:`repro.lint`) before it is returned;
-    error-severity diagnostics raise :class:`repro.lint.LintError`.
+    :func:`repro.lint.lint_pair` checks the result against *program*;
+    ``Engine(check=True)`` does so for every spec it resolves.
     """
     if not model.wants_grouped_code:
-        prepared = program
-    else:
-        grouped = group_program(program)
-        if not model.wants_switch_instructions:
-            prepared = strip_switches(grouped)
-        else:
-            prepared = grouped
-    if lint:
-        from repro.lint import lint_pair  # local import: lint imports us
-
-        lint_pair(program, prepared, model).raise_on_error()
-    return prepared
+        return program
+    grouped = group_program(program)
+    if not model.wants_switch_instructions:
+        return strip_switches(grouped)
+    return grouped

@@ -14,7 +14,9 @@ The :class:`Engine` is the single funnel every simulation goes through:
   order* regardless of completion order, so any sweep is byte-for-byte
   identical to its serial execution.  With ``workers=1``, or on
   platforms/sandboxes where a pool cannot be created, execution falls
-  back to a plain serial loop — same results, same order.
+  back to a plain serial loop — same results, same order;
+* **checks** — with ``check=True`` each spec is linted and its result
+  passes the invariant oracle before it enters the memo (see :class:`Engine`).
 
 Deterministic failures (a :class:`SimulationTimeout` from a bounded
 ablation run) are memoised and cached like results, and re-raised on
@@ -23,6 +25,7 @@ every subsequent request for the same spec.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import functools
 import multiprocessing
@@ -50,16 +53,12 @@ class EngineRunError(RuntimeError):
 
 
 @functools.lru_cache(maxsize=64)
-def _build(app_name: str, nthreads: int, code_model: str, scale: str,
-           lint: bool = False):
+def _build(app_name: str, nthreads: int, code_model: str, scale: str):
     """Build (and lower) one application — cached per process and per
     total thread count, so each multithreading level of a sweep builds
     its own program.  The levels' programs lower to the same code, and
     the compiled backend shares its blocks by program content
-    (:func:`repro.jit.compiled_for`), so later levels reuse them.
-    With ``lint=True`` the lowered code is statically verified
-    (:mod:`repro.lint`) and a :class:`repro.lint.LintError` aborts the
-    build."""
+    (:func:`repro.jit.compiled_for`), so later levels reuse them."""
     from repro.apps.registry import get_app
     from repro.compiler.passes import prepare_for_model
     from repro.harness.sizes import sizes_for
@@ -68,13 +67,17 @@ def _build(app_name: str, nthreads: int, code_model: str, scale: str,
     spec = get_app(app_name)
     sizes = sizes_for(app_name, scale)
     app = spec.build(nthreads, **sizes)
-    program = prepare_for_model(app.program, SwitchModel(code_model), lint=lint)
+    program = prepare_for_model(app.program, SwitchModel(code_model))
     return app, program
+
+
+def _error(spec: RunSpec, error: Exception) -> Dict:
+    """The failure record of *spec*, labelled so a run log says what failed."""
+    return {"type": type(error).__name__, "message": f"{spec.label()}: {error}"}
 
 
 def _execute_payload(
     spec: RunSpec,
-    lint: bool = False,
     span_context=None,
 ) -> Tuple[Optional[SimulationResult], Dict]:
     """Simulate one spec; returns ``(live result | None, payload)``.
@@ -114,7 +117,6 @@ def _execute_payload(
             spec.total_threads,
             spec.effective_code_model.value,
             spec.scale,
-            lint,
         )
         if recorder is not None:
             from repro.jit import compile_seconds_for
@@ -148,12 +150,7 @@ def _execute_payload(
             recorder.finish(simulate_span)
     except Exception as error:  # noqa: BLE001 — must cross process boundary
         result = None
-        # The spec label makes the payload triageable from the runlog
-        # alone (which app/model/shape failed, not just why).
-        payload["error"] = {
-            "type": type(error).__name__,
-            "message": f"{spec.label()}: {error}",
-        }
+        payload["error"] = _error(spec, error)
         if recorder is not None:
             if stage is not None:
                 recorder.finish(stage, status="error")
@@ -166,15 +163,11 @@ def _execute_payload(
     return result, payload
 
 
-def execute_spec(
-    spec: RunSpec,
-    lint: bool = False,
-    span_context=None,
-) -> Dict:
+def execute_spec(spec: RunSpec, span_context=None) -> Dict:
     """Simulate one spec and return its payload dictionary, the result
     serialized under ``"result"`` — the worker pool's entry point (top
     level, so it pickles); see :func:`_execute_payload`."""
-    result, payload = _execute_payload(spec, lint, span_context)
+    result, payload = _execute_payload(spec, span_context)
     if result is not None:
         payload["result"] = result.to_dict()
     return payload
@@ -208,9 +201,12 @@ class Engine:
         (parallel mode only; a run exceeding it is recorded as failed).
     :param progress: optional callback receiving one event dictionary
         per completed/cached/failed run (see :func:`stderr_progress`).
-    :param lint: statically verify every program before simulating it
-        (:mod:`repro.lint`); error-severity findings fail the run the
-        same way a simulation error would.
+    :param check: lint the program of every spec this engine resolves
+        (:func:`repro.lint.lint_spec`) before it is read from disk or
+        simulated, and run :func:`repro.check.check_result` once on its
+        result.  A failed check fails the spec like a run that raises
+        (counted, logged, returned by :meth:`failure`) but never enters
+        the result cache: whoever wrote a result, its reader checks it.
     :param backend: default execution backend (``"interpreter"``,
         ``"compiled"``, ``"auto"``; see :mod:`repro.jit`) for specs that
         do not name one themselves.  A spec's own ``backend`` field wins.
@@ -232,14 +228,14 @@ class Engine:
         cache: Union[ResultCache, str, None] = None,
         timeout: Optional[float] = None,
         progress: Optional[ProgressFn] = None,
-        lint: bool = False,
+        check: bool = False,
         backend: Optional[str] = None,
         spans: Optional[SpanRecorder] = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self.lint = lint
+        self.check = check
         self.spans = active_spans(spans)
         #: Trace context engine-emitted spans parent under (set per
         #: :meth:`run_many` call via its ``trace`` argument).
@@ -265,7 +261,11 @@ class Engine:
             "memo_hits": 0,
             "failed": 0,
             "deduped": 0,
+            "linted": 0,
+            "checked": 0,
         }
+        #: Lint findings over every linted spec, by (rule, severity).
+        self._lint_diagnostics: collections.Counter = collections.Counter()
         self._executed_by_backend: Dict[str, int] = {}
         self._simulated_cycles = 0
         self._wall_time = 0.0
@@ -395,6 +395,11 @@ class Engine:
             "memo_hits": self._counts["memo_hits"],
             "failed": self._counts["failed"],
             "deduped": self._counts["deduped"],
+            "linted": self._counts["linted"],
+            "lint_diagnostics": sorted(
+                [*found, count] for found, count in self._lint_diagnostics.items()
+            ),
+            "checked": self._counts["checked"],
             "completed": completed,
             "cache_fraction": (
                 self._counts["cached"] / completed if completed else 0.0
@@ -493,7 +498,8 @@ class Engine:
         result: Optional[SimulationResult] = None,
     ) -> None:
         """Fold one payload into the memo + counters, or record the
-        failure of an error payload.  *result* is the live result of an
+        failure of an error payload (or, with :attr:`check`, of a result
+        the oracle rejects).  *result* is the live result of an
         in-process run; without it the result is restored from the
         payload (disk hits and pool runs)."""
         recorder = self.spans
@@ -504,10 +510,7 @@ class Engine:
         elapsed = float(payload.get("elapsed", 0.0))
         self._wall_time += elapsed if source == "run" else 0.0
         if "error" in payload:
-            self._failures[key] = payload["error"]
-            self._counts["failed"] += 1
-            self._log_run(spec, key, payload, "failed", None)
-            self._notify(spec, "failed", elapsed, total)
+            self._fail(spec, key, payload, total)
             return
         if result is None:
             if recorder is not None:
@@ -518,6 +521,15 @@ class Engine:
             result = SimulationResult.from_dict(payload["result"])
             if recorder is not None:
                 recorder.finish(deserialize_span)
+        if self.check:
+            from repro.check import CheckFailure, check_result
+
+            self._counts["checked"] += 1
+            try:
+                check_result(result)
+            except CheckFailure as failure:
+                self._fail(spec, key, {**payload, "error": _error(spec, failure)}, total)
+                return
         self._memo[key] = result
         self._record_predict_key(spec)
         if source == "run":
@@ -531,6 +543,31 @@ class Engine:
             self._counts["cached"] += 1
         self._log_run(spec, key, payload, source, result.wall_cycles)
         self._notify(spec, source, elapsed, total)
+
+    def _fail(self, spec: RunSpec, key: str, payload: Dict, total: int) -> None:
+        """Record the error of *payload* as the failure of *spec*."""
+        self._failures[key] = payload["error"]
+        self._counts["failed"] += 1
+        self._log_run(spec, key, payload, "failed", None)
+        self._notify(spec, "failed", float(payload.get("elapsed", 0.0)), total)
+
+    def _lints_clean(self, spec: RunSpec, key: str, total: int) -> bool:
+        """Lint and count the program *spec* runs; an error, or a build
+        that raises, fails the spec before it resolves."""
+        from repro.lint import lint_spec
+
+        try:
+            report = lint_spec(spec)
+            self._counts["linted"] += 1
+            self._lint_diagnostics.update(
+                (found.rule_id, found.severity.label)
+                for found in report.diagnostics
+            )
+            report.raise_on_error()
+        except Exception as error:  # noqa: BLE001 — fails the spec as a run would
+            self._fail(spec, key, {"error": _error(spec, error)}, total)
+            return False
+        return True
 
     def _from_disk(self, key: str) -> Optional[Dict]:
         return self.cache.get(key) if self.cache is not None else None
@@ -575,7 +612,7 @@ class Engine:
                 attributes={"spec": spec.label(), "mode": "serial"},
             )
             span_context = (dispatch.trace_id, dispatch.span_id)
-        result, payload = _execute_payload(spec, self.lint, span_context)
+        result, payload = _execute_payload(spec, span_context)
         if result is not None and self.cache is not None:
             payload["result"] = result.to_dict()
         if dispatch is not None:
@@ -624,7 +661,7 @@ class Engine:
                         attributes={"spec": spec.label(), "mode": "pool"},
                     )
                     span_context = (dispatch.trace_id, dispatch.span_id)
-                future = pool.submit(execute_spec, spec, self.lint, span_context)
+                future = pool.submit(execute_spec, spec, span_context)
                 deadline = (
                     time.monotonic() + self.timeout
                     if self.timeout is not None
@@ -768,20 +805,22 @@ class Engine:
                     recorder.finish(lookup.set(outcome="memo"))
                 continue
             payload = self._from_disk(key)
-            if payload is not None:
-                if lookup is not None:
-                    recorder.finish(lookup.set(outcome="hit"))
-                self._absorb(spec, key, payload, "cached", total)
-                continue
-            if key not in claimed:
-                claimed.add(key)
-                pending.append((index, spec, key))
-                if lookup is not None:
-                    recorder.finish(lookup.set(outcome="miss"))
-            else:
+            if payload is None and key in claimed:
                 self._counts["deduped"] += 1
                 if lookup is not None:
                     recorder.finish(lookup.set(outcome="deduped"))
+                continue
+            if lookup is not None:
+                recorder.finish(
+                    lookup.set(outcome="miss" if payload is None else "hit")
+                )
+            if self.check and not self._lints_clean(spec, key, total):
+                continue
+            if payload is not None:
+                self._absorb(spec, key, payload, "cached", total)
+            else:
+                claimed.add(key)
+                pending.append((index, spec, key))
 
         if len(pending) > 1 and self._ensure_pool() is not None:
             self._run_pooled(pending, total)

@@ -2,7 +2,7 @@
 
 ``repro-bench``, ``repro-trace`` and ``repro-serve submit`` expose the
 same fault flags (``--latency-model``, ``--fault-rate``, ``--fault-seed``,
-``--fault-jitter``, ``--check``) plus the component-lifecycle group
+``--fault-jitter``) plus the component-lifecycle group
 (``--lifecycle-components`` and friends); this module keeps their
 spelling, defaults and FaultConfig translation in one place.
 """
@@ -48,13 +48,6 @@ def add_fault_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="CYCLES",
         help="jitter magnitude for the uniform/geometric latency models "
         "(default: half the base latency)",
-    )
-    group.add_argument(
-        "--check",
-        action="store_true",
-        help="run the repro.check invariant oracle on every result "
-        "(transaction conservation, NACK/retry accounting, clean halts, "
-        "availability conservation)",
     )
     chaos = parser.add_argument_group(
         "component lifecycles (chaos scenarios)",

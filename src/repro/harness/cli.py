@@ -28,7 +28,7 @@ from typing import Dict, List
 from repro.engine.cache import ResultCache, default_cache_dir
 from repro.engine.executor import Engine, stderr_progress
 from repro.faults.cliargs import add_fault_arguments, fault_config_from_args
-from repro.harness.cliargs import add_backend_argument
+from repro.harness.cliargs import add_backend_argument, add_check_argument
 from repro.harness.context import ExperimentContext
 from repro.harness.tables import ALL_TABLES
 from repro.harness.figures import ALL_FIGURES
@@ -131,13 +131,8 @@ def main(argv=None) -> int:
         action="store_true",
         help="suppress per-run progress lines on stderr",
     )
-    parser.add_argument(
-        "--lint",
-        action="store_true",
-        help="statically verify every program (repro.lint) before "
-        "simulating it; lint errors fail the run",
-    )
     add_backend_argument(parser)
+    add_check_argument(parser)
     add_fault_arguments(parser)
     args = parser.parse_args(argv)
 
@@ -162,7 +157,7 @@ def main(argv=None) -> int:
         workers=args.workers,
         cache=cache,
         progress=None if args.quiet else stderr_progress,
-        lint=args.lint,
+        check=args.check,
         backend=args.backend,
     )
     ctx = ExperimentContext(
@@ -171,7 +166,6 @@ def main(argv=None) -> int:
         processors=args.processors,
         engine=engine,
         faults=faults,
-        check=args.check,
         apps=args.apps,
     )
 

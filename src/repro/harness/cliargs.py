@@ -30,6 +30,18 @@ def add_backend_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def add_check_argument(parser: argparse.ArgumentParser) -> None:
+    """Install ``--check`` (one definition for ``repro-bench``,
+    ``repro-trace run`` and ``repro-serve serve``)."""
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="lint every program (repro.lint) and run the repro.check "
+        "invariant oracle (conservation laws, clean halts) on every "
+        "result; a run that fails either fails",
+    )
+
+
 def add_spec_arguments(
     parser: argparse.ArgumentParser, faults: bool = True
 ) -> None:

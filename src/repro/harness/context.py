@@ -27,7 +27,10 @@ from repro.harness.sizes import scale_sizes
 
 
 class ExperimentContext:
-    """Scale + machine defaults + engine-backed simulation results."""
+    """Scale + machine defaults + engine-backed simulation results.
+
+    Every run goes through :meth:`run` to :attr:`engine`; pass an
+    ``Engine(check=True)`` as *engine* to lint and check each one."""
 
     def __init__(
         self,
@@ -40,7 +43,6 @@ class ExperimentContext:
         cache=None,
         engine: Optional[Engine] = None,
         faults=None,
-        check: bool = False,
         apps: Optional[Iterable[str]] = None,
     ):
         self.scale = scale
@@ -58,9 +60,6 @@ class ExperimentContext:
         #: IDEAL baseline keeps the plain machine so efficiency stays
         #: measured against the paper's reference.
         self.faults = faults
-        #: Run the :mod:`repro.check` invariant oracle after every
-        #: :meth:`run` (raises on any conservation-law violation).
-        self.check = check
         #: The execution backbone.  *cache* may be a
         #: :class:`repro.engine.ResultCache` or a directory path; ``None``
         #: keeps everything in-process (hermetic — the default for tests).
@@ -157,16 +156,10 @@ class ExperimentContext:
         **config_extra,
     ) -> SimulationResult:
         """Simulate one configuration (memoised by the engine)."""
-        spec = self.spec(
+        return self.engine.run(self.spec(
             app_name, model, processors, level,
             oracle=oracle, latency=latency, **config_extra,
-        )
-        result = self.engine.run(spec)
-        if self.check:
-            from repro.check import check_result
-
-            check_result(result, label=spec.label())
-        return result
+        ))
 
     def prefetch(self, specs: Iterable[RunSpec]) -> None:
         """Warm the engine memo for an upcoming sweep.
@@ -197,16 +190,10 @@ class ExperimentContext:
     def reorganised_t1(self, app_name: str) -> int:
         """Single-processor zero-latency cycles of the *grouped* code
         (Table 5's reorganisation-penalty numerator)."""
-        result = self.engine.run(
-            self.spec(
-                app_name,
-                SwitchModel.IDEAL,
-                1,
-                1,
-                code_model=SwitchModel.EXPLICIT_SWITCH,
-            )
-        )
-        return result.wall_cycles
+        return self.run(
+            app_name, SwitchModel.IDEAL, 1, 1,
+            code_model=SwitchModel.EXPLICIT_SWITCH,
+        ).wall_cycles
 
     def efficiency(self, result: SimulationResult, app_name: str) -> float:
         return result.efficiency(self.t1(app_name))

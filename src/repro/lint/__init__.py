@@ -18,10 +18,11 @@ Entry points:
 * :func:`lint_program` — one program (optionally as *prepared* code for
   a model, enabling the model-specific rules);
 * :func:`lint_pair` — original + prepared code, adding the permutation
-  cross-check; this is the ``prepare_for_model(..., lint=True)`` gate;
+  cross-check;
 * :func:`lint_app_model` / :func:`lint_spec` — build a benchmark app,
   lower it for a model, and lint the pair (``lint_spec_cached`` memoises
-  per process for the serve scheduler's hot path);
+  per process); ``Engine(check=True)`` gates every spec it resolves on
+  :func:`lint_spec`;
 * the ``repro-lint`` CLI (``python -m repro.lint``).
 
 The rules themselves are proven live by seeded mutation self-tests
@@ -125,7 +126,7 @@ def lint_app_model(
     from repro.engine.executor import _build
 
     resolved = SwitchModel.parse(model)
-    built, prepared = _build(app, nthreads, resolved.value, scale, False)
+    built, prepared = _build(app, nthreads, resolved.value, scale)
     return lint_pair(built.program, prepared, resolved)
 
 
@@ -133,8 +134,8 @@ def lint_app_model(
 def lint_spec_cached(
     app: str, model: str, nthreads: int, scale: str
 ) -> LintReport:
-    """Per-process memo of :func:`lint_app_model` — the serve scheduler
-    lints every admitted spec, and sweeps repeat (app, model) pairs."""
+    """Per-process memo of :func:`lint_app_model` — a checked engine
+    lints every spec it resolves, and sweeps repeat (app, model) pairs."""
     return lint_app_model(app, model, nthreads=nthreads, scale=scale)
 
 
@@ -171,7 +172,7 @@ def predict_spec_cached(
 
     resolved = SwitchModel.parse(model)
     lowered = SwitchModel.parse(code_model) if code_model else resolved
-    _app, prepared = _build(app, processors * level, lowered.value, scale, False)
+    _app, prepared = _build(app, processors * level, lowered.value, scale)
     return predict_prepared(
         prepared,
         resolved,

@@ -4,8 +4,8 @@ Every finding is a :class:`Diagnostic` — a rule id, a severity, the
 program counter and basic block it anchors to, the rendered assembly of
 the offending line, and a human message.  A :class:`LintReport` collects
 the findings for one (program, model) pair and renders them as text or
-JSON; :meth:`LintReport.raise_on_error` is the gate used by
-``prepare_for_model(..., lint=True)`` and ``Engine(lint=True)``.
+JSON; :meth:`LintReport.raise_on_error` is the gate ``Engine(check=True)``
+applies to every spec it resolves.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ Rules come in three families, mirroring the layers of the repo:
     dominates them.
 
 Severities are deliberate: only genuine machine-breakers are errors
-(those gate ``prepare_for_model(lint=True)``); stylistic or heuristic
+(those fail a spec under ``Engine(check=True)``); stylistic or heuristic
 findings stay warnings/infos so real applications lint clean.
 """
 

@@ -26,7 +26,7 @@ import argparse
 import json
 import sys
 
-from repro.harness.cliargs import add_spec_arguments, spec_from_args
+from repro.harness.cliargs import add_check_argument, add_spec_arguments, spec_from_args
 from repro.obs.chrome import chrome_trace, validate_chrome_trace, write_chrome_trace
 from repro.obs.events import write_events_jsonl
 from repro.obs.metrics import metrics_from_events
@@ -43,6 +43,8 @@ from repro.obs.tracer import RingTracer
 
 def _cmd_run(args) -> int:
     from repro.api import simulate
+    from repro.check import check_result
+    from repro.lint import lint_spec
     from repro.tools.timeline import render_timeline
 
     try:
@@ -50,6 +52,8 @@ def _cmd_run(args) -> int:
     except ValueError as error:
         print(f"repro-trace: {error}", file=sys.stderr)
         return 2
+    if args.check:  # a traced run bypasses the engine and its checks
+        lint_spec(spec).raise_on_error()
     tracer = RingTracer(capacity=args.capacity)
     result = simulate(
         spec.app,
@@ -63,10 +67,8 @@ def _cmd_run(args) -> int:
         **dict(spec.overrides),
     )
     if args.check:
-        from repro.check import check_result
-
-        check_result(result, label=f"{spec.app}/{spec.model}")
-        print("[trace] invariant check passed", file=sys.stderr)
+        check_result(result, label=spec.label())
+        print("[trace] lint and invariant checks passed", file=sys.stderr)
     events = tracer.events()
     document = chrome_trace(events, tracer.dropped)
     validate_chrome_trace(document)
@@ -139,6 +141,7 @@ def main(argv=None) -> int:
 
     run = commands.add_parser("run", help="simulate one config with tracing on")
     add_spec_arguments(run)
+    add_check_argument(run)
     run.add_argument(
         "--out", default="trace.json", metavar="PATH", help="Chrome trace output"
     )

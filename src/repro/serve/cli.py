@@ -21,7 +21,7 @@ import json
 import sys
 
 from repro.engine.cache import default_cache_dir
-from repro.harness.cliargs import add_spec_arguments, spec_from_args
+from repro.harness.cliargs import add_check_argument, add_spec_arguments, spec_from_args
 from repro.serve.client import Client, ServeError
 from repro.serve.server import ServerConfig, serve
 
@@ -129,13 +129,12 @@ def main(argv=None) -> int:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-spec engine deadline inherited by every job",
+        help="per-spec engine deadline inherited by every job; it bounds "
+        "only specs the worker pool runs (a job with two or more specs "
+        "to simulate, and --workers > 1); a one-spec job, or any job on "
+        "a one-worker server, runs in-process with no wall-clock bound",
     )
-    run.add_argument(
-        "--check",
-        action="store_true",
-        help="run the repro.check invariant oracle on every served result",
-    )
+    add_check_argument(run)
     run.add_argument(
         "--journal",
         default=None,

@@ -48,7 +48,7 @@ _COUNTERS = {
     "serve.jobs.failed": "Jobs finished with an error",
     "serve.jobs.recovered": "Jobs re-enqueued from the journal at startup",
     "serve.specs.resolved": "Individual specs resolved across all jobs",
-    "lint.programs_checked": "Programs statically linted by the check oracle",
+    "lint.programs_checked": "Specs whose program the checked engine linted",
 }
 
 
@@ -66,15 +66,16 @@ class AdmissionError(RuntimeError):
 class JobScheduler:
     """Bounded job queue feeding one :class:`Engine` worker thread.
 
-    :param engine: the (exclusively owned) execution engine.
+    :param engine: the (exclusively owned) execution engine; under
+        ``Engine(check=True)`` a spec that fails lint or the oracle fails
+        its job, and ``/metrics`` reports the engine's lint counts.
     :param max_queue_depth: jobs allowed in QUEUED state before 429.
     :param max_inflight_bytes: summed request-body bytes of unfinished
         jobs allowed before 429 (0 disables the budget).
     :param default_timeout: per-spec engine deadline inherited by jobs
-        that do not set their own.
+        that do not set their own; it binds only specs the engine's
+        worker pool runs, never one run in-process.
     :param journal: a :class:`JobJournal`, a path, or ``None``.
-    :param check: run the :mod:`repro.check` invariant oracle on every
-        successful result; an oracle failure fails the job.
     :param spans: a :class:`~repro.obs.spans.SpanRecorder` (or ``None``)
         receiving the scheduler-side stages of every traced job —
         admit/coalesce at submission, queue-wait/execute/serialize/
@@ -91,14 +92,12 @@ class JobScheduler:
         max_inflight_bytes: int = 8 * 1024 * 1024,
         default_timeout: Optional[float] = None,
         journal=None,
-        check: bool = False,
         spans=None,
     ):
         self.engine = engine
         self.max_queue_depth = max_queue_depth
         self.max_inflight_bytes = max_inflight_bytes
         self.default_timeout = default_timeout
-        self.check = check
         if journal is not None and not isinstance(journal, JobJournal):
             journal = JobJournal(journal)
         self.journal = journal
@@ -116,6 +115,8 @@ class JobScheduler:
         self._elapsed: collections.deque = collections.deque(maxlen=16)
         self.draining = False
         self._stopped = False
+        #: Set by ``stop(drain=False)``: the running job goes unjournaled.
+        self._abandoned = False
         self._idle = threading.Event()
         self._idle.set()
         self._worker = threading.Thread(
@@ -261,24 +262,30 @@ class JobScheduler:
     # -- worker ----------------------------------------------------------------
 
     def _run(self) -> None:
-        while True:
-            with self._wake:
-                while not self._queue and not self._stopped:
-                    # Admission enqueues under this lock and only this
-                    # thread runs jobs, so an empty queue here means
-                    # every job has settled.
-                    self._idle.set()
-                    self._wake.wait()
-                if self._stopped and not self._queue:
-                    self._idle.set()
-                    return
-                job = self.jobs[self._queue.popleft()]
-            self._execute(job)
-            with self._lock:
-                self._inflight_bytes -= job.nbytes
-                self._elapsed.append(
-                    (job.finished or time.time()) - (job.started or job.created)
-                )
+        try:
+            while True:
+                with self._wake:
+                    while not self._queue and not self._stopped:
+                        # Admission enqueues under this lock and only
+                        # this thread runs jobs, so an empty queue here
+                        # means every job has settled.
+                        self._idle.set()
+                        self._wake.wait()
+                    if self._stopped and not self._queue:
+                        self._idle.set()
+                        return
+                    job = self.jobs[self._queue.popleft()]
+                self._execute(job)
+                with self._lock:
+                    self._inflight_bytes -= job.nbytes
+                    self._elapsed.append(
+                        (job.finished or time.time())
+                        - (job.started or job.created)
+                    )
+        finally:  # here, not in stop(), which need not wait for the worker
+            if self.journal is not None:
+                self.journal.close()
+            self.engine.close()
 
     def _execute(self, job: Job) -> None:
         recorder = self.spans
@@ -323,19 +330,12 @@ class JobScheduler:
                         "type": "EngineRunError",
                         "message": f"{spec.label()}: unknown failure",
                     }
-                    raise _JobFailure(error)
-                if self.check:
-                    from repro.check import check_result
-
-                    self._lint_spec(spec)
-                    check_result(result, label=spec.label())
+                    break
                 self._fold_availability(getattr(result, "stats", None))
                 payloads.append(result.to_dict())
-            if serialize is not None:
+            if serialize is not None and error is None:
                 recorder.finish(serialize)
                 serialize = None
-        except _JobFailure as failure:
-            error = failure.error
         except Exception as exc:  # noqa: BLE001 — worker must survive
             error = {"type": type(exc).__name__, "message": str(exc)}
         finally:
@@ -347,7 +347,7 @@ class JobScheduler:
         # Journal and count before settling: settling releases every
         # held wait, so a client that has its result finds the job
         # journaled and counted.
-        if self.journal is not None:
+        if self.journal is not None and not self._abandoned:
             try:
                 if recorder is not None:
                     with recorder.span(
@@ -392,31 +392,6 @@ class JobScheduler:
             help="Outage + repair cycles across all served results",
         ).inc(stats.lifecycle_downtime_cycles)
 
-    def _lint_spec(self, spec) -> None:
-        """Part of the check oracle: statically verify the program a
-        spec runs (memoised per (app, model, threads, scale) — sweeps
-        repeat those, so the marginal cost is a dict lookup).  Findings
-        land in ``lint.diagnostics_total{rule,severity}``; errors fail
-        the job like any other oracle violation."""
-        from repro.lint import lint_spec
-
-        report = lint_spec(spec)
-        self.metrics.counter("lint.programs_checked").inc()
-        for diagnostic in report.diagnostics:
-            self.metrics.counter(
-                "lint.diagnostics",
-                help="Lint diagnostics observed by the check oracle",
-                labels={
-                    "rule": diagnostic.rule_id,
-                    "severity": diagnostic.severity.label,
-                },
-            ).inc()
-        if not report.ok:
-            raise _JobFailure({
-                "type": "LintError",
-                "message": f"{spec.label()}: {report.summary_line()}",
-            })
-
     # -- lifecycle -------------------------------------------------------------
 
     def drain(self, timeout: Optional[float] = None) -> bool:
@@ -428,22 +403,26 @@ class JobScheduler:
         return self._idle.wait(timeout)
 
     def stop(self, drain: bool = True, timeout: Optional[float] = 30.0) -> bool:
-        """Drain (optionally), stop the worker, close journal + engine."""
+        """Stop the worker, which then closes journal + engine.  With
+        *drain*, first wait up to *timeout* for the jobs to settle and
+        the worker to exit; without, drop the queue and return at once,
+        leaving the running job to finish unjournaled, so a restart's
+        :meth:`recover` runs it again."""
         drained = self.drain(timeout) if drain else False
         with self._wake:
             self._stopped = True
             if not drain:
+                self._abandoned = True
                 self._queue.clear()
             self._wake.notify_all()
-        self._worker.join(timeout=timeout)
-        if self.journal is not None:
-            self.journal.close()
-        self.engine.close()
+        if drain:
+            self._worker.join(timeout=timeout)
         return drained
 
     def metrics_text(self) -> str:
         """The ``/metrics`` body: serve counters plus the engine's
-        lifetime counts, one Prometheus document with stable ordering."""
+        lifetime counts (its lint counts among them), one Prometheus
+        document with stable ordering."""
         report = self.engine.counters()
         for name in ("executed", "cached", "memo_hits", "failed", "deduped"):
             counter = self.metrics.counter(
@@ -455,6 +434,13 @@ class JobScheduler:
             help="Simulated cycles executed by the engine",
         )
         cycles.value = report["simulated_cycles"]
+        self.metrics.counter("lint.programs_checked").value = report["linted"]
+        for rule, severity, count in report["lint_diagnostics"]:
+            self.metrics.counter(
+                "lint.diagnostics",
+                help="Lint diagnostics found by the checked engine",
+                labels={"rule": rule, "severity": severity},
+            ).value = count
         return self.metrics.to_prometheus()
 
     def status_dict(self) -> Dict:
@@ -470,11 +456,3 @@ class JobScheduler:
                 "inflight_bytes": self._inflight_bytes,
                 "queue_depth_limit": self.max_queue_depth,
             }
-
-
-class _JobFailure(Exception):
-    """Internal: carries a spec's error payload out of the result loop."""
-
-    def __init__(self, error: Dict):
-        super().__init__(error.get("message", "job failed"))
-        self.error = error

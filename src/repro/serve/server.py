@@ -181,7 +181,9 @@ class _ServeHTTPServer(ThreadingHTTPServer):
 
     # A handler thread keeps reading its kept-alive connection until the
     # client closes it, so a closed server would go on answering; it
-    # tracks its connections and shuts them down when it closes.
+    # tracks its connections and shuts down their reading side when it
+    # closes: an idle handler reads end of file and closes, and one
+    # still answering (a released held request) sends its reply first.
 
     def process_request(self, request, client_address):
         with self._connections_lock:
@@ -198,7 +200,7 @@ class _ServeHTTPServer(ThreadingHTTPServer):
             connections = list(self._connections)
         for connection in connections:
             try:
-                connection.shutdown(socket.SHUT_RDWR)
+                connection.shutdown(socket.SHUT_RD)
             except OSError:
                 pass  # its handler closed it meanwhile
         super().server_close()
@@ -411,6 +413,7 @@ class ReproServer:
         self.engine = Engine(
             workers=config.workers,
             cache=str(cache_dir) if cache_dir else None,
+            check=config.check,
             spans=self.spans,
         )
         self.scheduler = JobScheduler(
@@ -419,7 +422,6 @@ class ReproServer:
             max_inflight_bytes=config.byte_budget,
             default_timeout=config.timeout,
             journal=config.resolved_journal(),
-            check=config.check,
             spans=self.spans,
         )
         self.started = time.time()
@@ -491,8 +493,10 @@ class ReproServer:
 
     def shutdown(self, drain: bool = True, timeout: Optional[float] = 30.0) -> bool:
         """Graceful exit: stop admitting, settle in-flight jobs, release
-        held ``?wait`` requests (at once when not draining), flush
-        journal + run log, stop the HTTP loop and close its connections.
+        held ``?wait`` requests, flush journal + run log, stop the HTTP
+        loop and close its connections.  ``drain=False`` drops the queue
+        and returns without waiting for the running job, which ends
+        unjournaled, so a restart runs it again.
         Idempotent — concurrent callers block until the first caller's
         shutdown completes."""
         with self._shutdown_lock:
@@ -502,8 +506,6 @@ class ReproServer:
             self._shutdown_done.wait(timeout)
             return True
         try:
-            if not drain:  # queued jobs will not settle: release held waits
-                self._closing.set()
             drained = self.scheduler.stop(drain=drain, timeout=timeout)
             self._closing.set()
             if self.spans is not None:

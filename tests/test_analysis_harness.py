@@ -1,5 +1,7 @@
 """Analysis helpers and the experiment harness (tiny scale)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import (
@@ -150,23 +152,44 @@ def test_cli_smoke(capsys):
         cli_main(["not-a-target"])
 
 
+_PAPER_TINY = (
+    Path(__file__).resolve().parents[1]
+    / "benchmarks" / "ledger" / "data" / "paper_tiny.stdout"
+)
+_TINY_SUMMARY = (
+    "314 runs (314 simulated [314 interpreter], 1 failed, 56 memo hits), "
+    "3,811,088 cycles"
+)
+
+
 def test_cli_all_tiny_matches_the_committed_reproduction(capsys):
     """The whole tiny reproduction, in-process: every table, figure and
     ablation prints exactly the committed reference, and the engine
     resolves the same runs, failures, memo hits and cycles."""
-    from pathlib import Path
-
-    reference = (
-        Path(__file__).resolve().parents[1]
-        / "benchmarks" / "ledger" / "data" / "paper_tiny.stdout"
-    )
     assert cli_main(["all", "--scale", "tiny", "--no-cache", "--quiet"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == reference.read_text(encoding="utf-8")
-    assert (
-        "314 runs (314 simulated [314 interpreter], 1 failed, 56 memo hits), "
-        "3,811,088 cycles"
-    ) in captured.err.splitlines()[-1]
+    assert captured.out == _PAPER_TINY.read_text(encoding="utf-8")
+    assert _TINY_SUMMARY in captured.err.splitlines()[-1]
+
+
+def test_cli_all_tiny_checked_lints_and_checks_every_run_once(tmp_path, capsys):
+    """``--check`` lints and checks each run of the tiny reproduction
+    once, Table 5's grouped-code baselines among them, and changes
+    neither the tables nor the engine's summary."""
+    import json
+
+    report = tmp_path / "checked.json"
+    assert cli_main([
+        "all", "--scale", "tiny", "--no-cache", "--quiet", "--check",
+        "--json", str(report),
+    ]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == _PAPER_TINY.read_text(encoding="utf-8")
+    assert sum(_TINY_SUMMARY in line for line in captured.err.splitlines()) == 1
+    engine = json.loads(report.read_text())["engine"]
+    assert engine["checked"] == engine["completed"] == 314
+    # The livelock probe lints clean too, then fails by running out.
+    assert engine["linted"] == 315 and engine["failed"] == 1
 
 
 def test_cli_json_embeds_engine_report(tmp_path, capsys):

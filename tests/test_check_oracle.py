@@ -11,7 +11,7 @@ from repro.check import (
     zero_fault_equivalence,
     zero_lifecycle_equivalence,
 )
-from repro.engine import RunSpec
+from repro.engine import Engine, ResultCache, RunSpec
 from repro.faults import FaultConfig
 from repro.harness import ExperimentContext
 from repro.machine import SwitchModel
@@ -28,13 +28,45 @@ def test_oracle_passes_on_full_matrix_under_faults():
     acceptance matrix)."""
     total_retries = 0
     with ExperimentContext(
-        scale="tiny", processors=2, faults=_FAULTY, check=True
+        scale="tiny", processors=2, faults=_FAULTY, engine=Engine(check=True)
     ) as ctx:
         for app in ctx.app_names():
             for model in NONIDEAL_MODELS:
-                result = ctx.run(app, model, 2, 2)  # check=True raises on problems
+                result = ctx.run(app, model, 2, 2)  # a checked engine raises
                 total_retries += result.stats.retries
     assert total_retries > 0  # the loss rate actually exercised the protocol
+    counts = ctx.engine.counters()
+    assert counts["checked"] == counts["completed"] == (
+        len(ctx.app_names()) * len(NONIDEAL_MODELS)
+    )
+
+
+def test_checked_engine_checks_a_disk_hit_an_unchecked_engine_wrote(tmp_path):
+    """The oracle runs on every result a checked engine resolves, read
+    from disk too, whoever wrote it: a clean entry passes, and a
+    violation seeded into the cached result fails the spec."""
+    spec = RunSpec(app="sieve", model="switch-on-load", processors=2,
+                   level=2, scale="tiny")
+    key = spec.key()
+    with Engine(cache=tmp_path) as plain:
+        plain.run(spec)
+    with Engine(cache=tmp_path, check=True) as checked:
+        checked.run(spec)
+        counts = checked.counters()
+    assert (counts["cached"], counts["checked"], counts["linted"]) == (1, 1, 1)
+
+    cache = ResultCache(tmp_path)
+    payload = cache.get(key)
+    payload["result"]["stats"]["mem_completed"] -= 1
+    cache.put(key, payload)
+    with Engine(cache=tmp_path, check=True) as checked:
+        assert checked.run_many([spec], on_error="record") == [None]
+        error = checked.failure(key)
+        counts = checked.counters()
+    assert error["type"] == "CheckFailure"
+    assert error["message"].startswith(spec.label() + ": ")
+    assert "transaction conservation" in error["message"]
+    assert (counts["cached"], counts["checked"], counts["failed"]) == (0, 1, 1)
 
 
 def test_clean_result_has_no_problems():

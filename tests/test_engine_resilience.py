@@ -31,17 +31,17 @@ _SLEEPS = {"sieve": 2.5, "sor": 0.5}
 _KILL_MARKER = ""
 
 
-def _sleepy_execute(spec, lint=False, span_context=None):
+def _sleepy_execute(spec, span_context=None):
     time.sleep(_SLEEPS.get(spec.app, 0.0))
-    return _REAL_EXECUTE(spec, lint, span_context)
+    return _REAL_EXECUTE(spec, span_context)
 
 
-def _killer_execute(spec, lint=False, span_context=None):
+def _killer_execute(spec, span_context=None):
     if spec.app == "sor" and not os.path.exists(_KILL_MARKER):
         with open(_KILL_MARKER, "w", encoding="utf-8"):
             pass
         os.kill(os.getpid(), signal.SIGKILL)
-    return _REAL_EXECUTE(spec, lint, span_context)
+    return _REAL_EXECUTE(spec, span_context)
 
 
 def _spec(app, **kwargs):

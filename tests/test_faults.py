@@ -10,6 +10,7 @@ from repro.engine.spec import RunSpec
 from repro.faults import (
     FaultConfig,
     FaultPlan,
+    LifecycleConfig,
     RetryLimitExceeded,
     build_fault_plan,
     build_latency_model,
@@ -20,7 +21,8 @@ from repro.faults.latency import (
     UniformJitterLatency,
 )
 from repro.faults.rng import bounded, hash_u64, mix64, unit
-from repro.machine import SimulationTimeout, Simulator, SwitchModel
+from repro.isa import assemble
+from repro.machine import MachineConfig, SimulationTimeout, Simulator, SwitchModel
 from repro.runtime.execution import run_app
 from conftest import run_asm
 
@@ -322,6 +324,24 @@ def test_inert_config_is_bit_identical_to_no_config():
         )
         assert bare.stats.to_dict() == inert.stats.to_dict()
         assert bare.wall_cycles == inert.wall_cycles
+
+
+@pytest.mark.parametrize("faults", [
+    FaultConfig(),
+    FaultConfig(lifecycle=LifecycleConfig(mean_healthy=0)),
+], ids=["inert-faults", "inert-lifecycle"])
+def test_inert_configs_build_no_fault_machinery(faults):
+    """The disabled-overhead contract (DESIGN §5d, §5i): an inert config,
+    or a lifecycle that never transitions, leaves the simulator without
+    a latency model, a fault plan or an active lifecycle, so every
+    memory issue takes the bare path."""
+    sim = Simulator(
+        assemble("halt\n"), MachineConfig(latency=200, faults=faults),
+        [0] * 16, [{}],
+    )
+    assert sim._latency_model is None
+    assert sim._fault_plan is None
+    assert sim._lifecycle_active is None
 
 
 def test_same_seed_reproduces_same_faulty_run():

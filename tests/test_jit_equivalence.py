@@ -7,8 +7,8 @@ This suite pins that contract three ways, and then checks that the
 compiled-block table, shared by every program with the same content,
 never hands one program code compiled for a different one:
 
-* the full application x model grid, fault-free (every program built
-  with ``lint=True``, so only statically verified code is compiled);
+* the full application x model grid, fault-free (every program linted
+  first, so only statically verified code is compiled);
 * a fault-injected subset (uniform latency jitter + 1% reply loss),
   where the compiled backend must take the interpreter's slow paths —
   byte for byte — through the NACK/retry protocol;
@@ -41,6 +41,7 @@ from repro.faults import FaultConfig
 from repro.isa import assemble
 from repro.isa.registers import reg_index
 from repro.jit import compile_seconds_for
+from repro.lint import lint_spec
 from repro.machine import SwitchModel
 from repro.obs import RingTracer
 from repro.obs.events import event_to_record
@@ -65,14 +66,15 @@ FAULT_MODELS = (
 )
 
 
-def _stats_for(spec: RunSpec, backend: str, lint: bool = True):
-    """One in-process simulation -> checked SimulationResult."""
+def _stats_for(spec: RunSpec, backend: str):
+    """One in-process simulation of linted code -> checked
+    SimulationResult."""
+    lint_spec(spec).raise_on_error()
     app, program = _build(
         spec.app,
         spec.total_threads,
         spec.effective_code_model.value,
         spec.scale,
-        lint,
     )
     result = make_simulator(
         app, spec.machine_config(), program=program, backend=backend
@@ -105,7 +107,7 @@ def test_entry_order_does_not_change_results(app, model):
     test's compiled code is reused."""
     spec = RunSpec(app=app, model=model, processors=2, level=4, scale="tiny")
     shape = (spec.app, spec.total_threads, spec.effective_code_model.value,
-             spec.scale, True)
+             spec.scale)
     built, program = _build.__wrapped__(*shape)
     program._jit_variants = {}
     sim = make_simulator(built, spec.machine_config(), program=program,
@@ -266,7 +268,7 @@ def test_traced_engine_run_of_shared_content_records_no_compile():
                    level=1, scale="tiny", backend="compiled")
     shape = (spec.app, spec.total_threads, spec.effective_code_model.value,
              spec.scale)
-    app, first = _build(*shape, True)
+    app, first = _build.__wrapped__(*shape)  # a build of its own
     make_simulator(app, spec.machine_config(), program=first,
                    backend="compiled").run()
     blocks = _compiled_blocks(first)
@@ -274,7 +276,7 @@ def test_traced_engine_run_of_shared_content_records_no_compile():
     recorder = SpanRecorder(capacity=None)
     with Engine(workers=1, spans=recorder) as engine:
         engine.run(spec)
-    _app, second = _build(*shape, False)  # the program the engine ran
+    _app, second = _build(*shape)  # the program the engine ran
     assert second is not first
     assert _compiled_blocks(second) == blocks
 
@@ -301,8 +303,9 @@ def test_traced_and_switch_every_cycle_runs_keep_the_interpreter(model,
     is not vacuous.  Each program gets an empty table of its own."""
     spec = RunSpec(app="synth:4242", model=model, processors=2, level=2,
                    scale="tiny")
+    lint_spec(spec).raise_on_error()
     shape = (spec.app, spec.total_threads, spec.effective_code_model.value,
-             spec.scale, True)
+             spec.scale)
 
     def run(backend, tracer=None):
         built, program = _build.__wrapped__(*shape)

@@ -1,14 +1,13 @@
-"""The repro-lint CLI and the lint gates in the compiler/engine/serve
-layers."""
+"""The repro-lint CLI and the checked engine's lint gate, as the
+harness and the server use it."""
 
 import json
 import time
 
 import pytest
 
-from repro.isa import assemble
 from repro.isa.registers import NUM_REGS
-from repro.lint import LintError, LintReport
+from repro.lint import LintReport
 from repro.lint.cli import main
 from repro.lint.diagnostics import Diagnostic, Severity
 
@@ -147,43 +146,98 @@ def test_module_entry_point():
 
 # -- gates -------------------------------------------------------------------
 
-def test_prepare_for_model_lint_gate():
-    from repro.compiler.passes import prepare_for_model
-    from repro.machine.models import SwitchModel
 
-    clean = assemble("lws r1, 0(r4)\nsws r1, 1(r4)\nhalt\n")
-    prepared = prepare_for_model(clean, SwitchModel.EXPLICIT_SWITCH, lint=True)
-    assert prepared.switch_count() > 0
+@pytest.fixture
+def fresh_lint_memo():
+    """Lint reports are memoised per program; tests that change what
+    linting sees start and end with an empty memo."""
+    from repro.lint import lint_spec_cached
 
-    corrupt = clean.copy()
-    corrupt.instructions[0].rd = NUM_REGS + 2
-    with pytest.raises(LintError) as excinfo:
-        prepare_for_model(corrupt, SwitchModel.SWITCH_ON_LOAD, lint=True)
-    assert "isa-operand-range" in str(excinfo.value)
+    lint_spec_cached.cache_clear()
+    yield
+    lint_spec_cached.cache_clear()
+
+
+def _tiny(model):
+    from repro.engine import RunSpec
+
+    return RunSpec(app="sieve", model=model, processors=2, level=2,
+                   scale="tiny")
+
+
+def test_checked_engine_lint_gate(monkeypatch, fresh_lint_memo):
+    """A checked engine lints the code it would run: a clean program
+    runs, and one with an out-of-range operand fails its spec with a
+    LintError naming the rule, without being simulated."""
+    from repro.engine import Engine
+    from repro.engine import executor
+
+    clean, corrupt = _tiny("explicit-switch"), _tiny("switch-on-load")
+    real_build = executor._build
+
+    def build(app, nthreads, code_model, scale):
+        built, program = real_build(app, nthreads, code_model, scale)
+        if code_model == corrupt.model:
+            program = program.copy()
+            program.instructions[0].rd = NUM_REGS + 2
+        return built, program
+
+    monkeypatch.setattr(executor, "_build", build)
+    with Engine(check=True) as engine:
+        ran, failed = engine.run_many([clean, corrupt], on_error="record")
+        error = engine.failure(corrupt.key())
+        counts = engine.counters()
+    assert ran.stats.switches > 0 and failed is None
+    assert error["type"] == "LintError"
+    assert "isa-operand-range" in error["message"]
+    assert (counts["linted"], counts["executed"], counts["failed"]) == (2, 1, 1)
 
 
 def test_engine_lint_gate_smoke():
-    from repro.engine import Engine, RunSpec
+    from repro.engine import Engine
 
-    engine = Engine(lint=True)
+    engine = Engine(check=True)
     try:
-        spec = RunSpec(app="sieve", model="explicit-switch", processors=2,
-                       level=2, scale="tiny")
-        [result] = engine.run_many([spec])
+        [result] = engine.run_many([_tiny("explicit-switch")])
         assert result.wall_cycles > 0
+        counts = engine.counters()
+        assert counts["linted"] == counts["checked"] == 1
     finally:
         engine.close()
 
 
+def test_check_failure_never_reaches_the_result_cache(
+    tmp_path, monkeypatch, fresh_lint_memo
+):
+    """A spec that fails its checks is recorded as failed and never
+    cached, so an unchecked engine on the same cache resolves it."""
+    from repro.engine import Engine
+    from repro.obs.runlog import read_runlog
+
+    spec = _tiny("switch-on-load")
+    monkeypatch.setattr("repro.lint.lint_pair",
+                        lambda original, prepared, model: failing_report())
+    with Engine(cache=tmp_path, check=True) as checked:
+        assert checked.run_many([spec], on_error="record") == [None]
+        assert checked.failure(spec.key())["type"] == "LintError"
+        assert checked.counters()["lint_diagnostics"] == [
+            ["isa-no-halt", "error", 1]
+        ]
+    runlog = read_runlog(tmp_path / "runlog.jsonl")
+    assert [entry["source"] for entry in runlog] == ["failed"]
+    with Engine(cache=tmp_path) as plain:
+        [result] = plain.run_many([spec])
+        assert result.wall_cycles > 0
+        assert plain.counters()["executed"] == 1
+
+
 def test_scheduler_check_lints_and_counts(tmp_path):
-    from repro.engine import Engine, RunSpec
+    from repro.engine import Engine
     from repro.serve import JobScheduler
 
-    scheduler = JobScheduler(Engine(), check=True)
+    scheduler = JobScheduler(Engine(check=True))
     try:
-        spec = RunSpec(app="sieve", model="switch-on-load", processors=2,
-                       level=2, scale="tiny")
-        job, coalesced = scheduler.submit([spec])
+        job, coalesced = scheduler.submit([_tiny("switch-on-load")])
         assert not coalesced
         deadline = time.time() + 60.0
         while not job.settled and time.time() < deadline:
@@ -195,3 +249,37 @@ def test_scheduler_check_lints_and_counts(tmp_path):
         assert "lint_diagnostics_total{" not in text
     finally:
         scheduler.stop()
+
+
+@pytest.mark.parametrize("failing", ["lint", "oracle"])
+def test_scheduler_check_failure_fails_the_job(monkeypatch, fresh_lint_memo,
+                                               failing):
+    """Under a checked engine a served spec that fails lint or the
+    oracle settles its job FAILED, naming the check and the spec."""
+    from repro.check import CheckFailure
+    from repro.engine import Engine
+    from repro.serve import JobScheduler
+
+    def reject(result):
+        raise CheckFailure("invariant check failed:\n  - seeded")
+
+    if failing == "lint":
+        monkeypatch.setattr("repro.lint.lint_pair",
+                            lambda original, prepared, model: failing_report())
+    else:
+        monkeypatch.setattr("repro.check.check_result", reject)
+    spec = _tiny("switch-on-load")
+    scheduler = JobScheduler(Engine(check=True))
+    try:
+        job, _ = scheduler.submit([spec])
+        assert job.wait(60.0)
+        text = scheduler.metrics_text()
+    finally:
+        scheduler.stop()
+    assert job.state.value == "failed"
+    expected = "LintError" if failing == "lint" else "CheckFailure"
+    assert job.error["type"] == expected
+    assert job.error["message"].startswith(spec.label() + ": ")
+    if failing == "lint":
+        assert ('lint_diagnostics_total{rule="isa-no-halt",severity="error"} 1'
+                in text)

@@ -441,6 +441,38 @@ def test_trace_cli_run_and_report(tmp_path, capsys):
     assert "1 entries" in capsys.readouterr().out
 
 
+def test_trace_cli_check_lints_before_and_checks_after(tmp_path, capsys,
+                                                     monkeypatch):
+    """``repro-trace run --check`` bypasses the engine, so it makes the
+    checked engine's two checks itself: lint before the traced run (a
+    lint error stops it before anything is written), the oracle after."""
+    from repro.lint import LintError, LintReport, lint_spec_cached
+    from repro.lint.diagnostics import Diagnostic, Severity
+    from repro.obs.cli import main
+
+    out = tmp_path / "trace.json"
+    argv = ["run", "sieve", "--model", "eswitch", "--processors", "2",
+            "--level", "2", "--scale", "tiny", "--check", "--out", str(out)]
+    assert main(argv) == 0
+    assert "lint and invariant checks passed" in capsys.readouterr().err
+    out.unlink()
+
+    def failing(original, prepared, model):
+        return LintReport(prepared.name, "explicit-switch", [Diagnostic(
+            rule_id="isa-no-halt", severity=Severity.ERROR,
+            message="seeded", program=prepared.name,
+        )])
+
+    monkeypatch.setattr("repro.lint.lint_pair", failing)
+    lint_spec_cached.cache_clear()
+    try:
+        with pytest.raises(LintError, match="isa-no-halt"):
+            main(argv)
+    finally:
+        lint_spec_cached.cache_clear()
+    assert not out.exists()
+
+
 def test_trace_cli_rejects_unknown_model(tmp_path, capsys):
     from repro.obs.cli import main
 

@@ -321,9 +321,9 @@ def test_shutdown_releases_held_wait_and_closes_connections(tmp_path):
                                kwargs={"drain": False})
     stopper.start()
     waiter.join(10.0)
-    gate.set()  # let the worker finish so the shutdown can complete
-    stopper.join(60.0)
+    stopper.join(10.0)
     assert not stopper.is_alive()
+    gate.set()
     [(replied, status, payload)] = replies
     assert started <= replied < started + 1.0
     assert status == 202 and payload["state"] == "running"
@@ -334,6 +334,33 @@ def test_shutdown_releases_held_wait_and_closes_connections(tmp_path):
     idle.close()
     with pytest.raises(OSError):
         client.status(job)
+
+
+def test_non_draining_shutdown_leaves_the_running_job_to_a_restart(tmp_path):
+    """``shutdown(drain=False)`` returns without waiting for the running
+    job; when that job ends it journals no finish, so a restarted
+    server runs it again."""
+    journal = tmp_path / "journal.jsonl"
+    config = ServerConfig(port=0, quiet=True, cache_dir=tmp_path / "cache",
+                          journal=journal)
+    server = ReproServer(config).start()
+    gate = _gate_engine(server)
+    with Client(server.url) as client:
+        job = client.submit(_TINY)
+    started = time.monotonic()
+    server.shutdown(drain=False)
+    assert time.monotonic() - started < 1.0
+    assert not gate.is_set()
+    gate.set()
+    worker = server.scheduler._worker
+    worker.join(60.0)
+    assert not worker.is_alive()
+    events = [json.loads(line) for line in journal.read_text().splitlines()]
+    assert [(entry["event"], entry["job"]) for entry in events] == [
+        ("submit", job["job"])
+    ]
+    with ReproServer(config) as restarted:
+        assert restarted.recovered == 1
 
 
 def test_client_hanging_up_on_a_held_request_is_not_a_server_error(

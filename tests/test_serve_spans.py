@@ -255,6 +255,14 @@ def test_disabled_recorder_results_byte_identical(tmp_path):
     assert json.dumps(traced.to_dict(), sort_keys=True) == base
 
 
+def test_engine_drops_a_disabled_recorder():
+    """The disabled-overhead contract (DESIGN §5h): an engine given a
+    disabled recorder holds none, so every probe site is one
+    ``is not None`` check."""
+    with Engine(cache=None, spans=NullSpanRecorder()) as engine:
+        assert engine.spans is None
+
+
 def test_cached_payloads_never_carry_spans(tmp_path):
     spec = RunSpec.create("sieve", model="explicit-switch", processors=2,
                           level=2, scale="tiny")
