@@ -145,6 +145,8 @@ def sweep(
     has been collected).  *backend* sets the default execution backend
     for specs that do not name one (see :func:`backends`); the choice
     never affects results or cache hits, only wall-clock speed.
+    *timeout* is each run's wall-clock budget in seconds (see
+    :class:`~repro.engine.executor.Engine`).
     """
     run_specs = [_as_spec(spec) for spec in specs]
     with Engine(

@@ -20,7 +20,9 @@ The :class:`Engine` is the single funnel every simulation goes through:
 
 Deterministic failures (a :class:`SimulationTimeout` from a bounded
 ablation run) are memoised and cached like results, and re-raised on
-every subsequent request for the same spec.
+every subsequent request for the same spec.  A run past the engine's
+``timeout`` fails with :class:`DeadlineExceeded`, memoised but never
+cached: it says how busy the host was, not what the spec does.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import dataclasses
 from repro.engine.cache import ResultCache
 from repro.engine.spec import RunSpec
 from repro.jit import resolve_backend
-from repro.machine.simulator import SimulationResult, SimulationTimeout
+from repro.machine.simulator import DeadlineExceeded, SimulationResult, SimulationTimeout
 from repro.obs.runlog import RunLogWriter, peak_rss_kb
 from repro.obs.spans import SpanContext, SpanRecorder, new_span_id, new_trace_id
 from repro.obs.spans import active as active_spans
@@ -48,8 +50,8 @@ ProgressFn = Callable[[Dict], None]
 
 
 class EngineRunError(RuntimeError):
-    """A run failed inside the engine (worker crash, bad spec, per-run
-    timeout); the original error type/message is in ``args[0]``."""
+    """A run failed inside the engine (worker crash, bad spec, run
+    deadline); the original error type/message is in ``args[0]``."""
 
 
 @functools.lru_cache(maxsize=64)
@@ -79,6 +81,7 @@ def _error(spec: RunSpec, error: Exception) -> Dict:
 def _execute_payload(
     spec: RunSpec,
     span_context=None,
+    timeout: Optional[float] = None,
 ) -> Tuple[Optional[SimulationResult], Dict]:
     """Simulate one spec; returns ``(live result | None, payload)``.
 
@@ -87,6 +90,9 @@ def _execute_payload(
     raises: failures come back as ``{"error": {...}}`` payloads.  The
     payload carries no ``"result"``: only the callers that ship it
     across a process or onto disk serialize the live result.
+
+    *timeout* is the run's wall-clock budget in seconds from here,
+    build included, which the simulation enforces.
 
     *span_context* is a ``(trace_id, parent_span_id)`` pair — the
     submitting request's trace crossing the ``ProcessPoolExecutor``
@@ -108,6 +114,7 @@ def _execute_payload(
             attributes={"spec": spec.label(), "worker": os.getpid()},
         )
     start = time.perf_counter()
+    deadline = None if timeout is None else time.monotonic() + timeout
     payload: Dict = {"spec": spec.to_dict()}
     try:
         if recorder is not None:
@@ -129,7 +136,8 @@ def _execute_payload(
                 attributes={"backend": resolve_backend(spec.backend)},
             )
         result = run_app(
-            app, spec.machine_config(), program=program, backend=spec.backend
+            app, spec.machine_config(), program=program, backend=spec.backend,
+            deadline=deadline,
         )
         if recorder is not None:
             recorder.finish(run_span)
@@ -163,11 +171,11 @@ def _execute_payload(
     return result, payload
 
 
-def execute_spec(spec: RunSpec, span_context=None) -> Dict:
+def execute_spec(spec: RunSpec, span_context=None, timeout=None) -> Dict:
     """Simulate one spec and return its payload dictionary, the result
     serialized under ``"result"`` — the worker pool's entry point (top
     level, so it pickles); see :func:`_execute_payload`."""
-    result, payload = _execute_payload(spec, span_context)
+    result, payload = _execute_payload(spec, span_context, timeout)
     if result is not None:
         payload["result"] = result.to_dict()
     return payload
@@ -197,8 +205,10 @@ class Engine:
         ``None`` to disable on-disk persistence.  With a cache, every run
         that misses the memo is also logged to the JSONL run log next to
         it (:attr:`ResultCache.runlog_path`).
-    :param timeout: optional per-run wall-clock budget in seconds
-        (parallel mode only; a run exceeding it is recorded as failed).
+    :param timeout: wall-clock budget in seconds of each run, in-process
+        or pooled, that the simulation itself enforces.  A run past it
+        stops, freeing its worker, and fails with :class:`DeadlineExceeded`
+        (counted, logged, returned by :meth:`failure`, never cached).
     :param progress: optional callback receiving one event dictionary
         per completed/cached/failed run (see :func:`stderr_progress`).
     :param check: lint the program of every spec this engine resolves
@@ -573,6 +583,8 @@ class Engine:
         return self.cache.get(key) if self.cache is not None else None
 
     def _persist(self, key: str, payload: Dict) -> None:
+        if payload.get("error", {}).get("type") == DeadlineExceeded.__name__:
+            return  # the host's load, not the spec's outcome
         if self.cache is not None:
             if "spans" in payload:
                 # Spans are per-request wall-clock telemetry, not part
@@ -612,7 +624,7 @@ class Engine:
                 attributes={"spec": spec.label(), "mode": "serial"},
             )
             span_context = (dispatch.trace_id, dispatch.span_id)
-        result, payload = _execute_payload(spec, span_context)
+        result, payload = _execute_payload(spec, span_context, self.timeout)
         if result is not None and self.cache is not None:
             payload["result"] = result.to_dict()
         if dispatch is not None:
@@ -630,13 +642,8 @@ class Engine:
     ) -> None:
         """Execute *pending* on the worker pool, surviving worker deaths.
 
-        Each future gets a wall-clock deadline stamped at *submission* —
-        a true per-run budget.  (Collection happens in input order, so a
-        per-collection ``result(timeout=...)`` would let earlier waits
-        eat later runs' budgets; with deadlines, time spent waiting on
-        run A also counts against run B, which has been executing — or
-        queued — just as long.)  A result that already landed is never
-        discarded, even if collected after its deadline.
+        Each worker enforces the engine's :attr:`timeout` on its own run
+        (:func:`_execute_payload`), so collection waits for every future.
 
         On ``BrokenProcessPool`` the not-yet-resolved specs are
         resubmitted to a fresh pool (:attr:`_POOL_RESTARTS` times), then
@@ -661,42 +668,13 @@ class Engine:
                         attributes={"spec": spec.label(), "mode": "pool"},
                     )
                     span_context = (dispatch.trace_id, dispatch.span_id)
-                future = pool.submit(execute_spec, spec, span_context)
-                deadline = (
-                    time.monotonic() + self.timeout
-                    if self.timeout is not None
-                    else None
-                )
-                submitted.append((index, spec, key, future, deadline, dispatch))
+                future = pool.submit(execute_spec, spec, span_context, self.timeout)
+                submitted.append((index, spec, key, future, dispatch))
             leftovers: List[Tuple[int, RunSpec, str]] = []
             broken = False
-            for index, spec, key, future, deadline, dispatch in submitted:
+            for index, spec, key, future, dispatch in submitted:
                 try:
-                    budget = (
-                        None
-                        if deadline is None
-                        else max(0.0, deadline - time.monotonic())
-                    )
-                    payload = future.result(timeout=budget)
-                except concurrent.futures.TimeoutError:
-                    future.cancel()
-                    if dispatch is not None:
-                        recorder.finish(dispatch, status="timeout")
-                    payload = {
-                        "spec": spec.to_dict(),
-                        "error": {
-                            "type": "EngineRunError",
-                            "message": (
-                                f"{spec.label()}: per-run timeout "
-                                f"after {self.timeout}s"
-                            ),
-                        },
-                        "elapsed": self.timeout or 0.0,
-                    }
-                    # Wall-clock timeouts are machine load, not physics:
-                    # never persisted, so a retry gets a fresh chance.
-                    self._absorb(spec, key, payload, "run", total)
-                    continue
+                    payload = future.result()
                 except (
                     concurrent.futures.process.BrokenProcessPool,
                     concurrent.futures.CancelledError,
@@ -741,7 +719,6 @@ class Engine:
         specs: Sequence[RunSpec],
         on_error: str = "raise",
         progress: Union[ProgressFn, None, bool] = False,
-        timeout: Union[float, None, bool] = False,
         trace=None,
     ) -> List[Optional[SimulationResult]]:
         """Execute a sweep; results come back in input order.
@@ -751,10 +728,10 @@ class Engine:
         in the failed slots — callers that *expect* timeouts (the
         forced-interval ablation) use this and re-raise per spec later.
 
-        *progress* and *timeout* override the engine-level settings for
-        this call only (``False``, the default, means "inherit"; ``None``
-        disables) — the hook long-lived callers (the serve scheduler)
-        use to give each batch its own deadline and progress sink.
+        *progress* overrides the engine-level sink for this call only
+        (``False``, the default, means "inherit"; ``None`` disables) —
+        the hook long-lived callers (the serve scheduler) use to give
+        each batch its own progress sink.
 
         *trace* is an optional :class:`~repro.obs.spans.SpanContext`
         (or ``(trace_id, span_id)`` pair) the batch's spans parent
@@ -763,18 +740,16 @@ class Engine:
         """
         if on_error not in ("raise", "record"):
             raise ValueError("on_error must be 'raise' or 'record'")
-        saved = (self.progress, self.timeout, self._trace)
+        saved = (self.progress, self._trace)
         if progress is not False:
             self.progress = progress
-        if timeout is not False:
-            self.timeout = timeout
         if trace is None and self.spans is not None:
             trace = self._trace or SpanContext(new_trace_id(), new_span_id())
         self._trace = trace
         try:
             return self._run_many(specs, on_error)
         finally:
-            self.progress, self.timeout, self._trace = saved
+            self.progress, self._trace = saved
 
     def _run_many(
         self, specs: Sequence[RunSpec], on_error: str

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import collections
 from typing import Dict, List, Tuple
-
-import networkx as nx
 
 from repro.analysis.tablefmt import TextTable
 from repro.analysis.asciiplot import efficiency_chart
@@ -29,20 +28,32 @@ _FIGURE1_EDGES = [
 ]
 
 
-def figure1() -> Tuple[str, "nx.DiGraph"]:
-    """The multithreading-model taxonomy as a topologically-ordered list."""
-    graph = nx.DiGraph()
-    for src, dst, why in _FIGURE1_EDGES:
-        graph.add_edge(src, dst, reason=why)
+def figure1() -> Tuple[str, Dict]:
+    """The multithreading-model taxonomy as a topologically-ordered list
+    (a FIFO Kahn sort of :data:`_FIGURE1_EDGES` in written order), and
+    its data: the nodes in that order and the edges with their reasons."""
+    nodes = list(dict.fromkeys(n for edge in _FIGURE1_EDGES for n in edge[:2]))
+    waiting = {n: sum(dst == n for _, dst, _ in _FIGURE1_EDGES) for n in nodes}
+    ready = collections.deque(node for node in nodes if not waiting[node])
+    order: List[str] = []
     lines = ["Figure 1: evolution of multithreading models", ""]
-    for node in nx.topological_sort(graph):
-        preds = list(graph.predecessors(node))
-        if not preds:
-            lines.append(f"  {node}")
-        for pred in preds:
-            reason = graph.edges[pred, node]["reason"]
-            lines.append(f"  {pred} -> {node}   [{reason}]")
-    return "\n".join(lines), graph
+    while ready:
+        node = ready.popleft()
+        order.append(node)
+        lines += [
+            f"  {src} -> {node}   [{why}]"
+            for src, dst, why in _FIGURE1_EDGES if dst == node
+        ] or [f"  {node}"]
+        for src, dst, _why in _FIGURE1_EDGES:
+            if src == node:
+                waiting[dst] -= 1
+                if not waiting[dst]:
+                    ready.append(dst)
+    edges = [
+        {"from": src, "to": dst, "reason": why}
+        for src, dst, why in _FIGURE1_EDGES
+    ]
+    return "\n".join(lines), {"nodes": order, "edges": edges}
 
 
 def figure2(

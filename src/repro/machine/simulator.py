@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 from heapq import heappush
+from time import monotonic
 from typing import Callable, List, Optional, Sequence
 
 from repro.faults import RetryLimitExceeded, build_fault_plan, build_latency_model
@@ -44,6 +45,15 @@ from repro.obs.tracer import TimelineTracer, Tracer
 class SimulationTimeout(Exception):
     """The simulation exceeded ``MachineConfig.max_cycles`` (livelock or a
     runaway program)."""
+
+
+class DeadlineExceeded(Exception):
+    """The run passed its wall-clock deadline (see :meth:`Simulator.run`):
+    unlike :class:`SimulationTimeout`, a fact about the host, not the spec."""
+
+
+#: Events between clock reads: about 30 ms of a livelocked run.
+CLOCK_EVENTS = 256
 
 
 class SimulationResult:
@@ -299,12 +309,15 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._heap, (time, priority, self._seq, fn, arg))
 
-    def run(self) -> SimulationResult:
-        """Run to completion and return the result."""
+    def run(self, deadline: Optional[float] = None) -> SimulationResult:
+        """Run to completion and return the result.  Past *deadline*, a
+        :func:`time.monotonic` instant read every :data:`CLOCK_EVENTS`
+        events, raise :class:`DeadlineExceeded`."""
         for proc in self.processors:
             self.schedule(0, proc.dispatch_event, None)
         max_cycles = self.config.max_cycles
         heap = self._heap
+        countdown = -1 if deadline is None else CLOCK_EVENTS  # -1: never 0
         while heap:
             time, _priority, _seq, fn, arg = heapq.heappop(heap)
             if time > max_cycles:
@@ -314,6 +327,13 @@ class Simulator:
                 )
             self.now = time
             fn(time, arg)
+            countdown -= 1
+            if not countdown:
+                if monotonic() > deadline:
+                    raise DeadlineExceeded(
+                        f"wall-clock deadline passed at cycle {time} [{self.describe()}]"
+                    )
+                countdown = CLOCK_EVENTS
         if self.live_threads:
             raise SimulationTimeout(
                 f"event queue drained with {self.live_threads} threads "

@@ -71,9 +71,11 @@ def run_app(
     check: bool = True,
     tracer: Optional[Tracer] = None,
     backend: Optional[str] = None,
+    deadline: Optional[float] = None,
 ) -> SimulationResult:
-    """Simulate *app* on *config* and (by default) verify its result."""
-    result = make_simulator(app, config, program, tracer=tracer, backend=backend).run()
+    """Simulate *app* on *config* and (by default) verify its result;
+    *deadline* is passed to :meth:`~repro.machine.simulator.Simulator.run`."""
+    result = make_simulator(app, config, program, tracer=tracer, backend=backend).run(deadline)
     if check and app.check is not None:
         app.check(result.shared)
     return result

@@ -17,13 +17,14 @@ by default blocks until the result is back.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from repro.engine.cache import default_cache_dir
 from repro.harness.cliargs import add_check_argument, add_spec_arguments, spec_from_args
 from repro.serve.client import Client, ServeError
-from repro.serve.server import ServerConfig, serve
+from repro.serve.server import RUN_TIMEOUT_S, ServerConfig, serve
 
 
 def _add_url(parser: argparse.ArgumentParser) -> None:
@@ -35,21 +36,8 @@ def _add_url(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_serve(args) -> int:
-    config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        no_cache=args.no_cache,
-        queue_depth=args.queue_depth,
-        byte_budget=args.byte_budget,
-        timeout=args.timeout,
-        check=args.check,
-        journal=args.journal,
-        quiet=args.quiet,
-        spans=args.spans,
-    )
-    return serve(config)
+    names = (field.name for field in dataclasses.fields(ServerConfig))
+    return serve(ServerConfig(**{name: getattr(args, name) for name in names}))
 
 
 def _cmd_submit(args) -> int:
@@ -127,12 +115,11 @@ def main(argv=None) -> int:
     run.add_argument(
         "--timeout",
         type=float,
-        default=None,
+        default=RUN_TIMEOUT_S,
         metavar="SECONDS",
-        help="per-spec engine deadline inherited by every job; it bounds "
-        "only specs the worker pool runs (a job with two or more specs "
-        "to simulate, and --workers > 1); a one-spec job, or any job on "
-        "a one-worker server, runs in-process with no wall-clock bound",
+        help="wall-clock budget of every run the server simulates; a run "
+        "past it stops, and its job fails with DeadlineExceeded "
+        f"(default: {RUN_TIMEOUT_S:g})",
     )
     add_check_argument(run)
     run.add_argument(

@@ -217,7 +217,6 @@ class Client:
     def submit(
         self,
         specs: Union[SpecLike, List[SpecLike]],
-        timeout: Union[float, None, str] = "inherit",
         retries: int = 0,
     ) -> Dict:
         """POST a job; returns the acceptance payload (``job``,
@@ -235,8 +234,6 @@ class Client:
         if isinstance(specs, (RunSpec, dict)):
             specs = [specs]
         body: Dict = {"specs": [_encode_spec(spec) for spec in specs]}
-        if timeout != "inherit":
-            body["timeout"] = timeout
         span = None
         if self.spans is not None:
             span = self.spans.start(

@@ -43,13 +43,11 @@ def job_id_for(keys: List[str]) -> str:
 class Job:
     """One admitted batch of specs moving through the scheduler."""
 
-    def __init__(self, specs: List[RunSpec], nbytes: int = 0,
-                 timeout: Optional[float] = None):
+    def __init__(self, specs: List[RunSpec], nbytes: int = 0):
         self.specs = specs
         self.keys = [spec.key() for spec in specs]
         self.job_id = job_id_for(self.keys)
         self.nbytes = nbytes
-        self.timeout = timeout
         self.state = JobState.QUEUED
         self.created = time.time()
         self.started: Optional[float] = None

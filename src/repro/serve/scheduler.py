@@ -68,13 +68,12 @@ class JobScheduler:
 
     :param engine: the (exclusively owned) execution engine; under
         ``Engine(check=True)`` a spec that fails lint or the oracle fails
-        its job, and ``/metrics`` reports the engine's lint counts.
+        its job, and ``/metrics`` reports the engine's lint counts.  Its
+        ``timeout`` bounds every run, so a run that never ends fails its
+        job with ``DeadlineExceeded`` and the worker moves on.
     :param max_queue_depth: jobs allowed in QUEUED state before 429.
     :param max_inflight_bytes: summed request-body bytes of unfinished
         jobs allowed before 429 (0 disables the budget).
-    :param default_timeout: per-spec engine deadline inherited by jobs
-        that do not set their own; it binds only specs the engine's
-        worker pool runs, never one run in-process.
     :param journal: a :class:`JobJournal`, a path, or ``None``.
     :param spans: a :class:`~repro.obs.spans.SpanRecorder` (or ``None``)
         receiving the scheduler-side stages of every traced job —
@@ -90,14 +89,12 @@ class JobScheduler:
         engine: Engine,
         max_queue_depth: int = 16,
         max_inflight_bytes: int = 8 * 1024 * 1024,
-        default_timeout: Optional[float] = None,
         journal=None,
         spans=None,
     ):
         self.engine = engine
         self.max_queue_depth = max_queue_depth
         self.max_inflight_bytes = max_inflight_bytes
-        self.default_timeout = default_timeout
         if journal is not None and not isinstance(journal, JobJournal):
             journal = JobJournal(journal)
         self.journal = journal
@@ -151,7 +148,6 @@ class JobScheduler:
         self,
         specs,
         nbytes: int = 0,
-        timeout="inherit",
         trace=None,
     ) -> Tuple[Job, bool]:
         """Admit (or coalesce) a batch; returns ``(job, coalesced)``.
@@ -166,9 +162,7 @@ class JobScheduler:
         instant ``coalesce`` span on its *own* trace — the job keeps the
         admitter's.
         """
-        if timeout == "inherit":
-            timeout = self.default_timeout
-        job = Job(list(specs), nbytes=nbytes, timeout=timeout)
+        job = Job(list(specs), nbytes=nbytes)
         recorder = self.spans
         with self._wake:
             existing = self.jobs.get(job.job_id)
@@ -247,7 +241,7 @@ class JobScheduler:
         recovered = 0
         for record in self.journal.load():
             with self._wake:
-                job = Job(record["specs"], nbytes=0, timeout=self.default_timeout)
+                job = Job(record["specs"], nbytes=0)
                 if job.job_id in self.jobs:
                     continue
                 self._admit(job)
@@ -313,7 +307,6 @@ class JobScheduler:
                 job.specs,
                 on_error="record",
                 progress=on_progress,
-                timeout=job.timeout,
                 trace=execute.context if execute is not None else None,
             )
             if recorder is not None:

@@ -28,12 +28,17 @@ server closes them too, so a stopped server answers nothing more.
 
 Spec payloads accept either the exact :meth:`RunSpec.to_dict` form (what
 :class:`repro.serve.Client` sends) or curl-friendly keyword form
-(``{"app": "sieve", "model": "eswitch", "level": 4}``), including a
-``faults`` mapping which is lifted *strictly* into a
+(``{"app": "sieve", "model": "eswitch", "level": 4}``).  In both, a
+``faults`` mapping is lifted *strictly* into a
 :class:`~repro.faults.config.FaultConfig` by
 :mod:`repro.serve.validation` — unknown keys, wrong types and
 out-of-range values come back as a structured 400 naming the offending
-key rather than a 500 (or a silently dropped chaos knob).
+key rather than a 500 (or a silently dropped chaos knob) — and so is a
+spec that :func:`~repro.serve.validation.check_servable` refuses.
+
+Every run ends: the engine stops a run at ``ServerConfig.timeout``
+seconds (:data:`RUN_TIMEOUT_S` by default), failing its job with
+``DeadlineExceeded``.  A client cannot change it.
 """
 
 from __future__ import annotations
@@ -59,7 +64,11 @@ from repro.machine.models import SwitchModel
 from repro.obs.spans import SpanContext, SpanRecorder
 from repro.serve.jobs import Job, JobState
 from repro.serve.scheduler import AdmissionError, JobScheduler
-from repro.serve.validation import SpecValidationError, validate_fault_spec
+from repro.serve.validation import (
+    SpecValidationError,
+    check_servable,
+    validate_fault_spec,
+)
 
 #: Request bodies past this size are refused outright (413) before any
 #: JSON parsing — admission control for a single oversized request.
@@ -71,6 +80,10 @@ HOLD_SLICE = 0.25
 #: The HTTP loop notices a shutdown within this many seconds.  A new
 #: connection wakes it at once, so the poll delays no request.
 SHUTDOWN_POLL_S = 0.05
+#: Default wall-clock budget of one served run, in seconds: about fifty
+#: times the slowest run of a bench-scale reproduction (1.21 s on a
+#: 2-vCPU VM, interpreted: sor explicit-switch P2 M8 with faults).
+RUN_TIMEOUT_S = 60.0
 
 
 @dataclasses.dataclass
@@ -84,7 +97,7 @@ class ServerConfig:
     no_cache: bool = False
     queue_depth: int = 16
     byte_budget: int = 8 * 1024 * 1024
-    timeout: Optional[float] = None
+    timeout: Optional[float] = RUN_TIMEOUT_S
     check: bool = False
     journal: Union[str, Path, None] = None
     quiet: bool = False
@@ -135,20 +148,26 @@ def specs_from_payload(payload) -> List[RunSpec]:
             specs.append(_decode_spec(raw))
         except SpecValidationError:
             raise  # already names the offending key; don't re-wrap
-        except (TypeError, ValueError, KeyError) as error:
+        except (AttributeError, TypeError, ValueError, KeyError) as error:
             raise ValueError(f"bad spec {raw!r}: {error}") from None
     return specs
 
 
 def _decode_spec(raw: Dict) -> RunSpec:
-    if isinstance(raw.get("overrides"), list):
-        return RunSpec.from_dict(raw)  # exact to_dict round-trip form
-    raw = dict(raw)
-    if "model" in raw:  # accept paper aliases (eswitch, sol, ...)
-        raw["model"] = SwitchModel.parse(raw["model"])
-    if raw.get("faults") is not None:
-        raw["faults"] = validate_fault_spec(raw["faults"])
-    return RunSpec.create(**raw)
+    if isinstance(raw.get("overrides"), list):  # exact to_dict form
+        faults = dict(raw["overrides"]).get("faults")
+        if isinstance(faults, dict):
+            validate_fault_spec({k: v for k, v in faults.items() if k != "__kind__"})
+        spec = RunSpec.from_dict(raw)
+    else:
+        raw = dict(raw)
+        if "model" in raw:  # accept paper aliases (eswitch, sol, ...)
+            raw["model"] = SwitchModel.parse(raw["model"])
+        if raw.get("faults") is not None:
+            raw["faults"] = validate_fault_spec(raw["faults"])
+        spec = RunSpec.create(**raw)
+    check_servable(spec)
+    return spec
 
 
 def _wait_seconds(query: str) -> float:
@@ -324,28 +343,15 @@ class _Handler(BaseHTTPRequestHandler):
         if body is None:
             return
         try:
-            payload = json.loads(body.decode("utf-8"))
-            specs = specs_from_payload(payload)
-        except SpecValidationError as error:
-            if http_span is not None:
-                http_span.set(http_status=400)
-            extra = {"key": error.key} if error.key else {}
-            return self._error(400, str(error), **extra)
+            specs = specs_from_payload(json.loads(body.decode("utf-8")))
         except (ValueError, UnicodeDecodeError) as error:
             if http_span is not None:
                 http_span.set(http_status=400)
-            return self._error(400, str(error))
-        timeout = payload.get("timeout", "inherit")
-        if timeout is not None and timeout != "inherit":
-            try:
-                timeout = float(timeout)
-            except (TypeError, ValueError):
-                if http_span is not None:
-                    http_span.set(http_status=400)
-                return self._error(400, "timeout must be a number")
+            key = getattr(error, "key", None)  # set by SpecValidationError
+            return self._error(400, str(error), **({"key": key} if key else {}))
         try:
             job, coalesced = self.app.scheduler.submit(
-                specs, nbytes=len(body), timeout=timeout,
+                specs, nbytes=len(body),
                 trace=http_span.context if http_span is not None else None,
             )
         except AdmissionError as refused:
@@ -413,6 +419,7 @@ class ReproServer:
         self.engine = Engine(
             workers=config.workers,
             cache=str(cache_dir) if cache_dir else None,
+            timeout=config.timeout,
             check=config.check,
             spans=self.spans,
         )
@@ -420,7 +427,6 @@ class ReproServer:
             self.engine,
             max_queue_depth=config.queue_depth,
             max_inflight_bytes=config.byte_budget,
-            default_timeout=config.timeout,
             journal=config.resolved_journal(),
             spans=self.spans,
         )

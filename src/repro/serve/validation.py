@@ -8,7 +8,8 @@ module lifts the curl-friendly ``{"faults": {...}}`` mapping of
 ``POST /v1/jobs`` into a :class:`~repro.faults.config.FaultConfig`
 strictly: unknown keys, wrong types and out-of-range values all raise
 :class:`SpecValidationError` naming the offending key, which the HTTP
-layer answers with a structured 400.
+layer answers with a structured 400, as it does a spec that
+:func:`check_servable` finds no run could serve.
 """
 
 from __future__ import annotations
@@ -16,7 +17,15 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional
 
+from repro.apps.registry import get_app
+from repro.engine.spec import RunSpec
 from repro.faults.config import FaultConfig, LifecycleConfig
+from repro.harness.sizes import sizes_for
+
+#: Most threads (processors × level) one served spec may ask for.  The
+#: reproduction's largest machine has 192 (sieve P16 M12, Figure 3); a
+#: run builds one thread context per thread inside the server.
+MAX_SERVED_THREADS = 256
 
 #: Fields accepting floats (ints coerce fine); everything else numeric
 #: is integer-only.
@@ -112,3 +121,28 @@ def validate_fault_spec(mapping) -> FaultConfig:
         raise SpecValidationError(
             str(error), key=_offending_key(str(error), names)
         ) from None
+
+
+def check_servable(spec: RunSpec) -> None:
+    """Refuse *spec* unless its application, its sizes at its scale and
+    its machine all resolve, and it asks for at most
+    :data:`MAX_SERVED_THREADS` threads.  Nothing is built."""
+    if spec.total_threads > MAX_SERVED_THREADS:
+        raise SpecValidationError(
+            f"{spec.total_threads} threads (processors x level); "
+            f"at most {MAX_SERVED_THREADS} are served"
+        )
+    if not isinstance(spec.app, str):
+        raise SpecValidationError("app must be a string", key="app")
+    key = "app"
+    try:
+        get_app(spec.app)
+        key = "scale"
+        sizes_for(spec.app, spec.scale)
+    except KeyError as error:
+        raise SpecValidationError(error.args[0], key=key) from None
+    try:
+        spec.machine_config()
+    except (TypeError, ValueError) as error:
+        key = _offending_key(str(error), [name for name, _ in spec.overrides])
+        raise SpecValidationError(str(error), key=key) from None

@@ -50,7 +50,6 @@ def _build_options(args) -> "FuzzOptions":
         latency=args.latency,
         faults=fault_profile(args.faults, seed=args.start),
         lint=not args.no_lint,
-        per_thread=not args.no_per_thread,
         shrink=not args.no_shrink,
         **kwargs,
     )
@@ -222,11 +221,6 @@ def main(argv=None) -> int:
     parser.add_argument("--no-shrink", action="store_true")
     parser.add_argument(
         "--no-lint", action="store_true", help="skip the per-model lint gate"
-    )
-    parser.add_argument(
-        "--no-per-thread",
-        action="store_true",
-        help="skip the traced per-thread instruction-count runs",
     )
     parser.add_argument("--stop-on-failure", action="store_true")
     parser.add_argument(

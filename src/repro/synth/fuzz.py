@@ -11,7 +11,8 @@ the grid against four layers of oracles —
 3. the cross-model invariants of
    :func:`repro.check.cross_model_violations` (model-independent memory,
    traffic, instruction counts; bit-identical backends), including the
-   per-thread retired-instruction law measured by an attached tracer;
+   per-thread retired-instruction law measured by a tracer attached to
+   the grid's interpreter runs;
 4. the static predictor's bounds (:mod:`repro.lint.predict`): on a
    fault-free grid every result must land inside its model's predicted
    run-length, switch-count and utilization windows
@@ -85,7 +86,6 @@ class FuzzOptions:
     latency: int = 64
     faults: Optional[FaultConfig] = None
     lint: bool = True
-    per_thread: bool = True
     shrink: bool = True
 
     def __post_init__(self) -> None:
@@ -237,15 +237,19 @@ def _run_grid_direct(
     app: BuiltApp,
     options: FuzzOptions,
     program_overrides: Optional[Mapping[str, object]] = None,
-) -> Tuple[Dict[str, Dict[str, object]], List[Violation]]:
+    count_threads: bool = False,
+) -> Tuple[Dict[str, Dict[str, object]], List[Violation], Dict]:
     """Run *app* across the model × backend grid in-process.
 
     *program_overrides* maps a model value to a program to run instead
     of the properly prepared one — the self-test's way of slipping a
-    deliberate bug under one model.
+    deliberate bug under one model.  With *count_threads*, the
+    interpreter runs carry an :class:`_InstrCountTracer` (a tracer never
+    changes a result): ``{model: {tid: count}}`` comes back too.
     """
     grid: Dict[str, Dict[str, object]] = {}
     violations: List[Violation] = []
+    counts: Dict[str, Dict[int, int]] = {}
     overrides = program_overrides or {}
     for model in options.models:
         program = overrides.get(model)
@@ -255,9 +259,15 @@ def _run_grid_direct(
         cells: Dict[str, object] = {}
         for backend in options.backends:
             where = f"{model}/{backend}"
+            tracer = (
+                _InstrCountTracer()
+                if count_threads and backend == "interpreter"
+                else None
+            )
             try:
                 result = run_app(
-                    app, config, program=program, check=False, backend=backend
+                    app, config, program=program, check=False,
+                    tracer=tracer, backend=backend,
                 )
             except Exception as error:  # noqa: BLE001 - recorded, not raised
                 violations.append(
@@ -267,6 +277,8 @@ def _run_grid_direct(
                 )
                 continue
             cells[backend] = result
+            if tracer is not None:
+                counts[model] = tracer.counts
             if app.check is not None:
                 try:
                     app.check(result.shared)
@@ -282,36 +294,7 @@ def _run_grid_direct(
                 )
         if cells:
             grid[model] = cells
-    return grid, violations
-
-
-def _per_thread_counts(
-    app: BuiltApp,
-    options: FuzzOptions,
-    program_overrides: Optional[Mapping[str, object]] = None,
-) -> Dict[str, Dict[int, int]]:
-    """One traced interpreter run per model → per-thread retired
-    non-SWITCH instruction counts."""
-    overrides = program_overrides or {}
-    counts: Dict[str, Dict[int, int]] = {}
-    for model in options.models:
-        program = overrides.get(model)
-        if program is None:
-            program = prepare_for_model(app.program, SwitchModel(model))
-        tracer = _InstrCountTracer()
-        try:
-            run_app(
-                app,
-                _machine_config(model, options),
-                program=program,
-                check=False,
-                tracer=tracer,
-                backend="interpreter",
-            )
-        except Exception:  # noqa: BLE001 - the grid pass reports run errors
-            continue
-        counts[model] = tracer.counts
-    return counts
+    return grid, violations, counts
 
 
 def _lint_violations(app: BuiltApp, options: FuzzOptions) -> List[Violation]:
@@ -337,18 +320,15 @@ def _grid_violations(
     app: BuiltApp,
     options: FuzzOptions,
     program_overrides: Optional[Mapping[str, object]] = None,
-    per_thread: Optional[bool] = None,
 ) -> Tuple[List[Violation], int]:
     """Run the full differential grid for one kernel and return every
     violation plus the number of simulations performed."""
     deterministic = plan["config"]["sync"] == "none"
-    grid, violations = _run_grid_direct(app, options, program_overrides)
+    grid, violations, counts = _run_grid_direct(
+        app, options, program_overrides,
+        count_threads=deterministic and not options.faulty,
+    )
     runs = sum(len(cells) for cells in grid.values())
-    counts: Optional[Dict[str, Dict[int, int]]] = None
-    want_counts = options.per_thread if per_thread is None else per_thread
-    if want_counts and deterministic and not options.faulty:
-        counts = _per_thread_counts(app, options, program_overrides)
-        runs += len(counts)
     violations.extend(
         cross_model_violations(
             grid,
@@ -427,11 +407,7 @@ def shrink_plan(
     def still_fails(candidate: Dict) -> bool:
         app, overrides = build(candidate, options.nthreads)
         violations, _ = _grid_violations(
-            candidate,
-            app,
-            options,
-            program_overrides=overrides,
-            per_thread=(invariant == "per-thread-instructions"),
+            candidate, app, options, program_overrides=overrides
         )
         return any(v.invariant == invariant for v in violations)
 
@@ -760,8 +736,7 @@ def run_selftest(
     shrinker reduces it to a no-larger reproducer.  Returns a per-bug
     report, functional bugs first; raises :class:`SelfTestError` on any
     miss."""
-    base = options or FuzzOptions()
-    options = dataclasses.replace(base, per_thread=True)
+    options = options or FuzzOptions()
     cfg = get_preset(preset)
     plan = generate_plan(seed, cfg)
     original_segments = len(plan_segment_ids(plan))

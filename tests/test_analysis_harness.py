@@ -1,5 +1,9 @@
 """Analysis helpers and the experiment harness (tiny scale)."""
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -136,12 +140,38 @@ def test_table7(ctx):
 def test_figures(ctx):
     text, graph = F.figure1()
     assert "explicit-switch" in text
+    # JSON-native data: the nodes in topological order, the edges with
+    # their reasons (no graph object, so ``--json`` is stable).
+    assert json.loads(json.dumps(graph)) == graph
+    order = graph["nodes"]
+    assert order[0] == "switch-every-cycle"
+    assert len(order) == len(set(order)) == 7
+    for edge in graph["edges"]:
+        assert order.index(edge["from"]) < order.index(edge["to"])
+        assert f"{edge['from']} -> {edge['to']}   [{edge['reason']}]" in text
     text, data = F.figure2(ctx, processor_counts=[1, 2])
     assert data["sieve"][1] > 0.9
     text, data = F.figure3(ctx, levels=[1, 2], processor_counts=[1, 2])
     assert data["2"][2] >= data["1"][2] - 0.02
     text, data = F.figure4(ctx)
     assert data["loads"] == 5
+
+
+def test_bench_cli_starts_without_networkx():
+    """Only numpy is a declared dependency: ``repro-bench`` must start
+    with networkx absent."""
+    code = (
+        "import sys; sys.modules['networkx'] = None\n"
+        "from repro.harness.cli import main\n"
+        "sys.exit(main(['figure1', '--quiet', '--no-cache']))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "switch-every-cycle -> switch-on-load" in completed.stdout
 
 
 def test_cli_smoke(capsys):

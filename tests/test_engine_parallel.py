@@ -76,7 +76,6 @@ def test_run_many_call_level_overrides_restore_engine_settings():
     with Engine(workers=1) as engine:
         engine.run_many(_sweep_specs()[:1], progress=events.append)
         assert engine.progress is None  # restored after the call
-        assert engine.timeout is None
     assert [event["source"] for event in events] == ["run"]
 
 

@@ -1,4 +1,4 @@
-"""Engine resilience: per-run deadlines, pool restarts, cache quarantine."""
+"""Engine resilience: run deadlines, pool restarts, cache quarantine."""
 
 import multiprocessing
 import os
@@ -10,7 +10,8 @@ import pytest
 
 from repro.engine import Engine, ResultCache, RunSpec
 from repro.engine import executor as executor_module
-from repro.machine.simulator import SimulationTimeout
+from repro.machine.simulator import DeadlineExceeded, SimulationTimeout
+from repro.obs.runlog import read_runlog
 from repro.obs.spans import SpanRecorder
 
 _REAL_EXECUTE = executor_module.execute_spec
@@ -20,28 +21,20 @@ needs_fork = pytest.mark.skipif(
     not _FORK, reason="patched workers require fork inheritance"
 )
 
-#: Sleep injected per app by the patched executors below.  The patched
-#: functions are module-level so worker processes (forked before the
-#: sweep, inheriting the monkeypatch and this module in sys.modules)
-#: unpickle them by reference.
-_SLEEPS = {"sieve": 2.5, "sor": 0.5}
-
 #: Marker-file path for the one-shot worker killer (set by the test
-#: before the pool forks; inherited by the children).
+#: before the pool forks; inherited by the children).  The patched
+#: executor is module-level so worker processes (forked before the
+#: sweep, inheriting the monkeypatch and this module in sys.modules)
+#: unpickle it by reference.
 _KILL_MARKER = ""
 
 
-def _sleepy_execute(spec, span_context=None):
-    time.sleep(_SLEEPS.get(spec.app, 0.0))
-    return _REAL_EXECUTE(spec, span_context)
-
-
-def _killer_execute(spec, span_context=None):
+def _killer_execute(spec, span_context=None, timeout=None):
     if spec.app == "sor" and not os.path.exists(_KILL_MARKER):
         with open(_KILL_MARKER, "w", encoding="utf-8"):
             pass
         os.kill(os.getpid(), signal.SIGKILL)
-    return _REAL_EXECUTE(spec, span_context)
+    return _REAL_EXECUTE(spec, span_context, timeout)
 
 
 def _spec(app, **kwargs):
@@ -52,32 +45,79 @@ def _spec(app, **kwargs):
     return RunSpec(app=app, **kwargs)
 
 
-# -- per-run timeout semantics ------------------------------------------------------
+# -- the run deadline ---------------------------------------------------------------
+
+#: The paper's Section 6.2 starvation: without the forced-switch cap a
+#: thread spinning on cache hits starves the lock holder, so this run
+#: never ends before its cycle cap (10**7 cycles take about 10 s).
+LIVELOCK = RunSpec.create(
+    "ugray", model="conditional-switch", processors=2, level=4,
+    scale="tiny", forced_switch_interval=0, max_cycles=10**7,
+)
 
 
-@needs_fork
-def test_timeout_is_a_per_run_deadline(monkeypatch):
-    """Each future's budget runs from *its own* submission: a fast run
-    that landed within its deadline is kept even though it is collected
-    after a slow earlier run burned the collection clock."""
-    monkeypatch.setattr(executor_module, "execute_spec", _sleepy_execute)
-    slow, fast = _spec("sieve"), _spec("sor")
-    with Engine(workers=2, timeout=1.5) as engine:
-        results = engine.run_many([slow, fast], on_error="record")
-        assert results[0] is None  # 2.5s sleep > 1.5s budget
-        assert results[1] is not None  # landed at ~0.6s, kept at collection
-        with pytest.raises(Exception, match="per-run timeout"):
-            engine.run(slow)
+def _assert_deadline_failure(engine, started):
+    """The livelock failed at the engine's 1 s deadline: counted, logged
+    and returned by ``failure``, and never written to the cache."""
+    assert time.monotonic() - started < 2.0
+    error = engine.failure(LIVELOCK.key())
+    assert error["type"] == "DeadlineExceeded" != SimulationTimeout.__name__
+    assert LIVELOCK.label() in error["message"]
+    assert engine.counters()["failed"] == 1
+    [logged] = [
+        entry for entry in read_runlog(engine.runlog_path)
+        if entry["key"] == LIVELOCK.key()
+    ]
+    assert logged["source"] == "failed" and logged["error"] == error
+    assert LIVELOCK.key() not in engine.cache
 
 
-@needs_fork
-def test_timeout_failure_names_the_spec(monkeypatch):
-    monkeypatch.setattr(executor_module, "execute_spec", _sleepy_execute)
-    slow = _spec("sieve")
-    with Engine(workers=2, timeout=0.5) as engine:
-        engine.run_many([slow, _spec("sor")], on_error="record")
-        with pytest.raises(Exception, match=r"sieve/switch-on-load"):
-            engine.run(slow)
+def test_deadline_stops_an_in_process_run(tmp_path):
+    started = time.monotonic()
+    with Engine(workers=1, timeout=1.0, cache=tmp_path) as engine:
+        with pytest.raises(Exception, match="DeadlineExceeded"):
+            engine.run(LIVELOCK)
+        _assert_deadline_failure(engine, started)
+    # Not cached, so a second engine on the same cache runs it again.
+    with Engine(workers=1, timeout=0.2, cache=tmp_path) as engine:
+        assert engine.run_many([LIVELOCK], on_error="record") == [None]
+        assert engine.failure(LIVELOCK.key())["type"] == "DeadlineExceeded"
+        assert engine.counters()["cached"] == 0
+
+
+def test_deadline_frees_a_pool_worker(tmp_path):
+    """A pooled run stops at the deadline too, so ``close()`` finds no
+    worker still running it."""
+    quick = _spec("sieve")
+    started = time.monotonic()
+    engine = Engine(workers=2, timeout=1.0, cache=tmp_path)
+    try:
+        results = engine.run_many([LIVELOCK, quick], on_error="record")
+    finally:
+        engine.close()
+    assert results[0] is None and results[1] is not None
+    _assert_deadline_failure(engine, started)
+    assert quick.key() in engine.cache
+
+
+def test_simulator_reads_the_clock_only_with_a_deadline(monkeypatch):
+    """No deadline, no clock read; a passed one stops the loop within
+    ``CLOCK_EVENTS`` events, never per instruction."""
+    from repro.engine.executor import _build
+    from repro.machine import simulator as simulator_module
+    from repro.runtime.execution import run_app
+
+    spec = _spec("sieve")
+    app, program = _build(spec.app, spec.total_threads, spec.model, spec.scale)
+    reads = []
+    monkeypatch.setattr(
+        simulator_module, "monotonic", lambda: reads.append(1) or 1e12
+    )
+    run_app(app, spec.machine_config(), program=program)
+    assert reads == []
+    with pytest.raises(DeadlineExceeded, match="wall-clock deadline"):
+        run_app(app, spec.machine_config(), program=program, deadline=0.0)
+    assert len(reads) == 1
 
 
 # -- surviving worker death ---------------------------------------------------------

@@ -221,6 +221,52 @@ def test_failed_job_surfaces_error_over_http(client):
     assert excinfo.value.status == 500
 
 
+#: The paper's Section 6.2 starvation: without the forced-switch cap
+#: this run never ends before the default cycle cap (about 30 minutes).
+LIVELOCK = {"app": "ugray", "model": "cswitch", "processors": 2, "level": 4,
+            "scale": "tiny", "forced_switch_interval": 0}
+
+
+def test_livelocked_job_fails_at_the_server_deadline(tmp_path):
+    """A one-worker server stops the run at its deadline, fails the job
+    with the spec's label, and serves the next job; a ``timeout`` in
+    the request body does not lift the server's."""
+    from repro.obs.runlog import read_runlog
+    from repro.serve import specs_from_payload
+
+    [spec] = specs_from_payload({"spec": LIVELOCK})
+    config = ServerConfig(port=0, quiet=True, cache_dir=tmp_path / "cache",
+                          timeout=1.0)
+    with ReproServer(config) as server, Client(server.url) as client:
+        request = urllib.request.Request(
+            server.url + "/v1/jobs",
+            data=json.dumps({"spec": LIVELOCK, "timeout": None}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        started = time.monotonic()
+        with urllib.request.urlopen(request, timeout=10.0) as response:
+            accepted = json.loads(response.read())
+        status = client.wait(accepted, timeout=30.0)
+        assert time.monotonic() - started < 2.0
+        assert status["state"] == "failed"
+        error = status["error"]
+        assert error["type"] == "DeadlineExceeded"
+        assert spec.label() in error["message"]
+        engine = server.engine
+        assert engine.failure(spec.key()) == error
+        assert engine.counters()["failed"] == 1
+        assert [
+            entry["source"] for entry in read_runlog(engine.runlog_path)
+        ] == ["failed"]
+        assert spec.key() not in engine.cache
+        [payload] = client.result(
+            client.submit({"app": "sieve", "model": "eswitch",
+                           "processors": 2, "level": 2, "scale": "tiny"}),
+            timeout=60.0,
+        )
+        assert payload["wall_cycles"] > 0
+
+
 # -- transport: one kept-alive connection, held waits ---------------------------
 
 

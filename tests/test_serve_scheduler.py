@@ -33,8 +33,7 @@ class GatedEngine:
         self.gate = threading.Event()
         self.calls = 0
 
-    def run_many(self, specs, on_error="record", progress=None, timeout=False,
-                 trace=None):
+    def run_many(self, specs, on_error="record", progress=None, trace=None):
         self.calls += 1
         assert self.gate.wait(30.0), "test forgot to open the gate"
         results = []

@@ -101,15 +101,17 @@ def test_coalesced_submission_records_instant_coalesce_span(traced_server):
 
 def test_failed_job_marks_execute_span_status(tmp_path):
     recorder = SpanRecorder()
-    engine = Engine(cache=None, spans=recorder)
+    # A deadline no run can meet: the clock is read every CLOCK_EVENTS
+    # events, and this spec needs far more of them than that.
+    engine = Engine(cache=None, spans=recorder, timeout=1e-9)
     scheduler = JobScheduler(engine, spans=recorder)
-    spec = RunSpec.create(**{**TINY, "model": "explicit-switch",
-                             "timeout": None})
-    job, _ = scheduler.submit([spec], timeout=1e-9)  # impossible deadline
+    spec = RunSpec.create(**{**TINY, "model": "explicit-switch"})
+    job, _ = scheduler.submit([spec])
     assert job.wait(60.0)
     scheduler.stop()
-    assert job.error is not None
+    assert job.error["type"] == "DeadlineExceeded"
     statuses = {s.name: s.status for s in recorder.spans()}
+    assert statuses["run"] == "error"  # the run stopped at the deadline
     assert statuses["serialize"] == "error"  # failure surfaced collecting
 
 

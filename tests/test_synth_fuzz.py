@@ -293,10 +293,29 @@ def test_prediction_adds_no_simulation(monkeypatch):
     outcome = fuzz_seed(0, preset="quick", options=options)
     assert outcome.ok, [v.message for v in outcome.violations]
     models = len(options.models)
-    # one predicted model per grid row; runs are the grid plus the
-    # per-thread tracer runs, exactly as without the predictor
+    # one predicted model per grid row; runs are the grid alone (its
+    # interpreter runs also count per-thread instructions)
     assert sorted(m.value for m in calls) == sorted(options.models)
-    assert outcome.runs == models * len(options.backends) + models
+    assert outcome.runs == models * len(options.backends)
+
+
+def test_grid_interpreter_runs_feed_the_per_thread_law(monkeypatch):
+    """The per-thread counts come from the grid's own interpreter runs:
+    a probe that also counts SWITCH splits grouped code from the rest."""
+    plan = generate_plan(3, get_preset("quick"))
+    assert plan["config"]["sync"] == "none"  # the law applies
+    app = build_synth_app(plan, QUICK.nthreads)
+    assert _grid_violations(plan, app, QUICK)[0] == []
+
+    def count_every_op(self, time, pid, tid, pc, op):
+        self.counts[tid] = self.counts.get(tid, 0) + 1
+
+    monkeypatch.setattr(fuzz_module._InstrCountTracer, "instr", count_every_op)
+    violations, runs = _grid_violations(plan, app, QUICK)
+    assert {v.invariant for v in violations} == {"per-thread-instructions"}
+    assert runs == len(QUICK.models) * len(QUICK.backends)
+    only_compiled = dataclasses.replace(QUICK, backends=("compiled",))
+    assert _grid_violations(plan, app, only_compiled)[0] == []
 
 
 def test_prediction_check_skips_faulty_grids_and_overridden_models(
