@@ -6,7 +6,7 @@ from repro.harness.ablations import (
     switch_cost_sensitivity,
     forced_interval_study,
 )
-from conftest import emit
+from table_helpers import emit
 
 
 def test_latency_sweep(benchmark, ctx):

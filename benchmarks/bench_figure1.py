@@ -1,7 +1,7 @@
 """Figure 1: the multithreading-model taxonomy."""
 
 from repro.harness.figures import figure1
-from conftest import emit
+from table_helpers import emit
 
 
 def test_figure1(benchmark):

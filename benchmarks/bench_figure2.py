@@ -1,7 +1,7 @@
 """Figure 2: efficiency vs processors on the ideal machine."""
 
 from repro.harness.figures import figure2
-from conftest import emit
+from table_helpers import emit
 
 
 def test_figure2(benchmark, ctx):

@@ -1,7 +1,7 @@
 """Figure 3: sieve under multithreading (efficiency vs processors)."""
 
 from repro.harness.figures import figure3
-from conftest import emit, SCALE
+from table_helpers import emit, SCALE
 
 
 def test_figure3(benchmark, ctx):

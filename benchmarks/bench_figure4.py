@@ -1,7 +1,7 @@
 """Figure 4: the sor inner loop before and after grouping."""
 
 from repro.harness.figures import figure4
-from conftest import emit
+from table_helpers import emit
 
 
 def test_figure4(benchmark, ctx):

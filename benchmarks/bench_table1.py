@@ -2,7 +2,7 @@
 
 from repro.apps.registry import app_names
 from repro.harness.tables import table1
-from conftest import emit
+from table_helpers import emit
 
 
 def test_table1(benchmark, ctx):

@@ -1,7 +1,7 @@
 """Table 2: run-length distributions under switch-on-load."""
 
 from repro.harness.tables import table2
-from conftest import emit
+from table_helpers import emit
 
 
 def test_table2(benchmark, ctx):

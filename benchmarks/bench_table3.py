@@ -1,7 +1,7 @@
 """Table 3: switch-on-load — multithreading level per efficiency target."""
 
 from repro.harness.tables import table3
-from conftest import emit, SCALE
+from table_helpers import emit, SCALE
 
 
 def test_table3(benchmark, ctx):

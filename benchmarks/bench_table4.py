@@ -1,7 +1,7 @@
 """Table 4: run-length distributions after grouping (explicit-switch)."""
 
 from repro.harness.tables import table4
-from conftest import emit
+from table_helpers import emit
 
 
 def test_table4(benchmark, ctx):

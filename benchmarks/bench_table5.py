@@ -1,7 +1,7 @@
 """Table 5: explicit-switch MT levels + reorganisation penalty."""
 
 from repro.harness.tables import table5
-from conftest import emit, SCALE
+from table_helpers import emit, SCALE
 
 
 def test_table5(benchmark, ctx):

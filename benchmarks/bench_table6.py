@@ -1,7 +1,7 @@
 """Table 6: inter-block grouping estimate (Section 5.2 one-line cache)."""
 
 from repro.harness.tables import table6
-from conftest import emit
+from table_helpers import emit
 
 
 def test_table6(benchmark, ctx):

@@ -1,7 +1,7 @@
 """Table 7 (Section 6.1): hit rates and network bandwidth."""
 
 from repro.harness.tables import table7
-from conftest import emit
+from table_helpers import emit
 
 
 def test_table7(benchmark, ctx):

@@ -1,7 +1,7 @@
 """Table 8: conditional-switch MT levels (cached machine)."""
 
 from repro.harness.tables import table8
-from conftest import emit, SCALE
+from table_helpers import emit, SCALE
 
 
 def test_table8(benchmark, ctx):

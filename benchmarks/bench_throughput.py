@@ -20,10 +20,14 @@ throughput appendix).
 Each cell times its backends back to back, round by round, and keeps
 the best of ``--repeats`` for each, so the live compiled/interpreter
 ratio compares runs made seconds apart rather than two grids made
-minutes apart.  Within a single invocation that measures both backends,
-every cell's ``SimStats`` are additionally cross-checked for
-bit-identity — a cheap standing instance of the equivalence contract
-pinned for real by ``tests/test_jit_equivalence.py``.
+minutes apart.  Each cell also keeps its first repeat as
+``first_seconds``: on the compiled backend that is the run that
+compiles the cell's code, so the geomean first-run/warm ratio printed
+per backend shows what compiling costs.  Within a single invocation
+that measures both backends, every cell's ``SimStats`` are additionally
+cross-checked for bit-identity — a cheap standing instance of the
+equivalence contract pinned for real by
+``tests/test_jit_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -62,13 +66,16 @@ def _measure_cell(
     )
     config = spec.machine_config()
     best = {backend: math.inf for backend in backends}
+    first: Dict[str, float] = {}
     stats: Dict[str, dict] = {}
     for _ in range(repeats):
         for backend in backends:
             sim = make_simulator(app, config, program=program, backend=backend)
             start = time.perf_counter()
             result = sim.run()
-            best[backend] = min(best[backend], time.perf_counter() - start)
+            seconds = time.perf_counter() - start
+            first.setdefault(backend, seconds)
+            best[backend] = min(best[backend], seconds)
             stats[backend] = result.stats.to_dict()
     cells = {}
     for backend in backends:
@@ -79,6 +86,7 @@ def _measure_cell(
             "model": spec.model,
             "wall_cycles": cycles,
             "seconds": seconds,
+            "first_seconds": first[backend],
             "cycles_per_sec": cycles / seconds if seconds > 0 else 0.0,
             "_stats": stats[backend],
         }
@@ -133,6 +141,10 @@ def run_grid(
             "cells": cells[backend],
             "geomean_cycles_per_sec": _geomean(
                 [c["cycles_per_sec"] for c in cells[backend]]
+            ),
+            "geomean_first_over_warm": _geomean(
+                [c["first_seconds"] / c["seconds"] for c in cells[backend]
+                 if c["seconds"] > 0]
             ),
         }
         for backend in backends
@@ -241,7 +253,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         path = _write(report, args.out_dir)
         line = (
             f"{report['backend']}: geomean "
-            f"{report['geomean_cycles_per_sec'] / 1e6:.3f} Mcyc/s"
+            f"{report['geomean_cycles_per_sec'] / 1e6:.3f} Mcyc/s, first run "
+            f"{report['geomean_first_over_warm']:.2f}x warm"
         )
         if "geomean_speedup_vs_baseline" in report:
             line += (

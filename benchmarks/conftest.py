@@ -1,22 +1,10 @@
-"""Shared fixtures for the benchmark harness.
-
-Every ``bench_*`` file regenerates one table or figure of the paper at
-the ``REPRO_BENCH_SCALE`` problem scale (default ``bench`` — calibrated
-so the 80-90% efficiency columns are reachable, see
-``repro.harness.sizes``).  Set ``REPRO_BENCH_SCALE=tiny`` for a fast
-smoke run.
-"""
-
-import os
+"""Shared fixtures for the benchmark harness (settings and ``emit`` live
+in ``table_helpers``)."""
 
 import pytest
 
 from repro.harness import ExperimentContext
-
-SCALE = os.environ.get("REPRO_BENCH_SCALE", "bench")
-PROCESSORS = int(os.environ.get("REPRO_BENCH_PROCESSORS", "2"))
-WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
-CACHE_DIR = os.environ.get("REPRO_BENCH_CACHE") or None
+from table_helpers import CACHE_DIR, PROCESSORS, SCALE, WORKERS
 
 
 @pytest.fixture(scope="module")
@@ -26,8 +14,3 @@ def ctx() -> ExperimentContext:
     )
     yield context
     context.close()
-
-
-def emit(text: str) -> None:
-    """Print a rendered table under pytest's captured output."""
-    print("\n" + text)

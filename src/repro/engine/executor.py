@@ -21,8 +21,9 @@ The :class:`Engine` is the single funnel every simulation goes through:
 Deterministic failures (a :class:`SimulationTimeout` from a bounded
 ablation run) are memoised and cached like results, and re-raised on
 every subsequent request for the same spec.  A run past the engine's
-``timeout`` fails with :class:`DeadlineExceeded`, memoised but never
-cached: it says how busy the host was, not what the spec does.
+``timeout`` fails with :class:`DeadlineExceeded`, which is recorded
+but neither memoised nor cached: it says how busy the host was, not
+what the spec does, so the next request for the spec runs it again.
 """
 
 from __future__ import annotations
@@ -76,6 +77,11 @@ def _build(app_name: str, nthreads: int, code_model: str, scale: str):
 def _error(spec: RunSpec, error: Exception) -> Dict:
     """The failure record of *spec*, labelled so a run log says what failed."""
     return {"type": type(error).__name__, "message": f"{spec.label()}: {error}"}
+
+
+def _missed_deadline(error: Optional[Dict]) -> bool:
+    """Whether a failure record is a run stopped at the engine's deadline."""
+    return error is not None and error["type"] == DeadlineExceeded.__name__
 
 
 def _execute_payload(
@@ -208,7 +214,8 @@ class Engine:
     :param timeout: wall-clock budget in seconds of each run, in-process
         or pooled, that the simulation itself enforces.  A run past it
         stops, freeing its worker, and fails with :class:`DeadlineExceeded`
-        (counted, logged, returned by :meth:`failure`, never cached).
+        (counted, logged, returned by :meth:`failure`, never cached, and
+        run again on the next request for the spec).
     :param progress: optional callback receiving one event dictionary
         per completed/cached/failed run (see :func:`stderr_progress`).
     :param check: lint the program of every spec this engine resolves
@@ -541,6 +548,7 @@ class Engine:
                 self._fail(spec, key, {**payload, "error": _error(spec, failure)}, total)
                 return
         self._memo[key] = result
+        self._failures.pop(key, None)  # a deadline failure's rerun succeeded
         self._record_predict_key(spec)
         if source == "run":
             self._counts["executed"] += 1
@@ -583,7 +591,7 @@ class Engine:
         return self.cache.get(key) if self.cache is not None else None
 
     def _persist(self, key: str, payload: Dict) -> None:
-        if payload.get("error", {}).get("type") == DeadlineExceeded.__name__:
+        if _missed_deadline(payload.get("error")):
             return  # the host's load, not the spec's outcome
         if self.cache is not None:
             if "spans" in payload:
@@ -601,7 +609,9 @@ class Engine:
     def failure(self, key: str) -> Optional[Dict]:
         """The recorded error payload (``{"type", "message"}``) for a
         spec key, or ``None`` — how callers using ``on_error="record"``
-        (and the serve layer) recover *why* a slot came back ``None``."""
+        (and the serve layer) recover *why* a slot came back ``None``.
+        A :class:`DeadlineExceeded` stays recorded until a run of the
+        spec succeeds."""
         return self._failures.get(key)
 
     def run(self, spec: RunSpec) -> SimulationResult:
@@ -774,7 +784,10 @@ class Engine:
                 if recorder is not None
                 else None
             )
-            if key in self._memo or key in self._failures:
+            if key in self._memo or (
+                key in self._failures
+                and not _missed_deadline(self._failures[key])
+            ):
                 self._counts["memo_hits"] += 1
                 if lookup is not None:
                     recorder.finish(lookup.set(outcome="memo"))

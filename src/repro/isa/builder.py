@@ -202,12 +202,6 @@ class ProgramBuilder:
         self._fresh_counter += 1
         return f".{prefix}{self._fresh_counter}"
 
-    # -- immediates ---------------------------------------------------------
-
-    def load_imm(self, reg: RegLike, value: int) -> None:
-        """``li`` helper accepting arbitrary Python ints."""
-        self.li(reg, int(value))
-
     # -- structured control flow ---------------------------------------------
 
     @contextlib.contextmanager

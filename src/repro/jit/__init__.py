@@ -13,8 +13,11 @@ function is.
   :mod:`repro.jit.codegen`.  Compiles code when a run first reaches it,
   each region about once per process for every distinct program content
   and machine variant, then executes with operands and model decisions
-  pre-resolved.  Compiling costs far more than executing a block does,
-  so on short runs it is still most of the time.  Traced and
+  pre-resolved; at the deadline or a busy register a block stops, and
+  the burst loop decides pause or switch.  Compiling costs far more
+  than executing a block does, so on short runs it is still close to
+  half the time (0.45 of the traced tiny reproduction's simulate
+  time).  Traced and
   switch-every-cycle runs keep the interpreter's function.
   Bit-identical SimStats by contract (pinned by
   ``tests/test_jit_equivalence.py``).

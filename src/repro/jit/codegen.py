@@ -13,7 +13,10 @@ block functions for the code bursts reach, with
 * the switch-model decisions folded at compile time (an explicit-switch
   block contains no conditional-switch code and vice versa),
 * oracle / cache probes hoisted out entirely when the variant runs
-  without them and inlined when it runs with them, and
+  without them and inlined when it runs with them,
+* one guard line per instruction: a deadline or scoreboard hit returns
+  :data:`~repro.machine.processor.STOP` and the burst loop decides pause
+  or switch, so no block carries the scoreboard rule itself, and
 * runs of non-switching ALU/FP/local instructions guarded by a single
   hoisted deadline + scoreboard check (the *fast path*), falling back to
   the exact per-instruction guard sequence when a wait could land inside
@@ -23,10 +26,17 @@ Equivalence contract
 --------------------
 The generated code must be **bit-identical** to the interpreter: same
 SimStats, same exceptions with the same messages.  Per-instruction order
-is the interpreter's — (1) deadline check, (2) in-flight scoreboard
-check, (3) execution.  Compiled code fires no tracer probes: a traced run
-keeps the interpreter's table (see :class:`~repro.machine.processor.
-Processor`), so its event stream is the interpreter's by construction.
+is unchanged and is the interpreter's — (1) deadline check, (2)
+in-flight scoreboard check, (3) execution.  (1) and (2) are one guard
+line whose hit returns :data:`~repro.machine.processor.STOP` with the
+pc it stopped before; ``Processor.dispatch_event`` then makes the
+interpreter's decision from the same scoreboard and the pc's slots in
+:attr:`CompiledProgram.hazards`: a pause (a yield on ideal) at the
+deadline, a pause if every slot's reply is due by ``t``, else a switch
+that resumes when the latest is due.  Compiled code fires no tracer
+probes: a traced run keeps the interpreter's table (see
+:class:`~repro.machine.processor.Processor`), so its event stream is
+the interpreter's by construction.
 ALU, FP and compare-branch bodies format the same :data:`~repro.isa.
 opcodes.EXPR` / :data:`~repro.isa.opcodes.FAULTS` templates the
 interpreter's evaluators are built from; memory, jump and ``SWITCH``
@@ -41,10 +51,12 @@ and has the signature::
     fn(proc, thread, t, deadline, run0, pc) -> (outcome, t, pc, n, resume, flush)
 
 where the argument *pc* names the region to start in and *outcome* is
-one of the interpreter's ``OUT_*`` codes or
+one of the interpreter's ``OUT_*`` codes,
 :data:`~repro.machine.processor.CONTINUE` (control moved to ``pc`` within
 the same burst; the burst loop, ``Processor.dispatch_event``, calls the
-next block).  Functions compile lazily, on the first dispatch of a pc that no
+next block) or :data:`~repro.machine.processor.STOP` (a guard stopped
+before ``pc``; the burst loop decides what the burst ends in).
+Functions compile lazily, on the first dispatch of a pc that no
 function serves, because any pc can become a burst entry (deadline
 pauses and mid-block switch resumes land anywhere).  A new function also
 serves other regions it holds, and later functions end at any pc that
@@ -74,9 +86,8 @@ from repro.machine.processor import (
     M_USE,
     M_USE_MISS,
     OUT_HALT,
-    OUT_PAUSE,
     OUT_SWITCH,
-    OUT_YIELD,
+    STOP,
 )
 
 #: Emission cap per block function.  Bounds generated-code size for
@@ -138,7 +149,7 @@ class CompiledProgram:
     """
 
     __slots__ = ("name", "code", "model", "oracle_on", "cached", "faulted",
-                 "funcs", "loop_of", "headers", "compiled_blocks",
+                 "funcs", "hazards", "loop_of", "headers", "compiled_blocks",
                  "compile_seconds")
 
     def __init__(self, program, model: int, oracle_on: bool, cached: bool,
@@ -155,6 +166,13 @@ class CompiledProgram:
         #: One slot per instruction: the function that serves a dispatch
         #: there, or None until one does.
         self.funcs: List[Optional[object]] = [None] * len(self.code)
+        #: Per pc: the register slots the instruction reads or writes,
+        #: once each, in the interpreter's probe order.  A guard tests
+        #: them, and the burst loop resolves its :data:`STOP` from them.
+        self.hazards: List[Tuple[int, ...]] = [
+            tuple(dict.fromkeys(instr_reads(ins) + instr_writes(ins)))
+            for ins in self.code
+        ]
         self.loop_of, self.headers = _loop_shape(self.code)
         self.compiled_blocks = 0
         #: Wall-clock seconds spent generating + exec'ing block code
@@ -308,8 +326,6 @@ class _Emitter:
         #: The region starts the new function serves (see :meth:`emit`).
         self.shares: List[int] = []
         self.need = set()
-        # IDEAL's burst boundaries are fairness yields, not pauses.
-        self.pause_out = OUT_YIELD if cp.model == M_IDEAL else OUT_PAUSE
         # Unfaulted variants mirror the simulator's uncached issue path
         # inline (bit accounting, scoreboard, heap push); faulted ones
         # call the simulator methods so the NACK/retry logic stays in
@@ -354,28 +370,18 @@ class _Emitter:
 
     # -- guards ------------------------------------------------------------------
 
-    def _deadline_guard(self, i: int, n: int, ind: int) -> None:
-        self.w(ind, "if t >= deadline:")
-        self.w(ind + 1, f"return {self.pause_out}, t, {i}, {self._nx(n)}, t, 0")
-
-    def _inflight_guard(self, ins: Instruction, i: int, n: int, ind: int) -> None:
-        slots = list(dict.fromkeys(instr_reads(ins) + instr_writes(ins)))
-        if not slots:
-            return
-        self.use("inflight")
-        self.w(ind, "if inflight:")
-        self.w(ind + 1, "_b = -1")
-        for slot in slots:
-            self.w(ind + 1, f"_r = inflight.get({slot})")
-            self.w(ind + 1, "if _r is not None and _r > _b:")
-            self.w(ind + 2, "_b = _r")
-        self.w(ind + 1, "if _b >= 0:")
-        self.w(ind + 2, "if _b <= t:")
-        self.w(ind + 3, f"return {OUT_PAUSE}, t, {i}, {self._nx(n)}, t, 0")
-        if self.cp.model != M_USE and self.cp.model != M_USE_MISS:
-            self.use("stats")
-            self.w(ind + 2, "stats.implicit_use_switches += 1")
-        self.w(ind + 2, f"return {OUT_SWITCH}, t, {i}, {self._nx(n)}, _b, 0")
+    def _guard(self, i: int, n: int, ind: int) -> None:
+        """Stop before instruction *i* at the deadline, or when it reads
+        or overwrites a register whose shared load is still in flight."""
+        hazards = self.cp.hazards
+        slots = hazards[i] if i < len(hazards) else ()  # past the end: none
+        if slots:
+            self.use("inflight")
+            probe = " or ".join(f"{slot} in inflight" for slot in slots)
+            self.w(ind, f"if t >= deadline or inflight and ({probe}):")
+        else:
+            self.w(ind, "if t >= deadline:")
+        self.w(ind + 1, f"return {STOP}, t, {i}, {self._nx(n)}, 0, 0")
 
     # -- instruction bodies ------------------------------------------------------
 
@@ -695,8 +701,7 @@ class _Emitter:
         ``(falls_through, next_pc)``."""
         ins = self.cp.code[i]
         v = int(ins.op)
-        self._deadline_guard(i, n, ind)
-        self._inflight_guard(ins, i, n, ind)
+        self._guard(i, n, ind)
 
         if v <= _FP_MAX:  # integer ALU / FP
             self._alu_body(ins, i, ind)
@@ -799,8 +804,7 @@ class _Emitter:
         nn = n
         for offset, ins in enumerate(run):
             i = start + offset
-            self._deadline_guard(i, nn, ind + 1)
-            self._inflight_guard(ins, i, nn, ind + 1)
+            self._guard(i, nn, ind + 1)
             if int(ins.op) <= _FP_MAX:
                 self._alu_body(ins, i, ind + 1)
             elif ins.op is not Op.NOP:
@@ -825,7 +829,7 @@ class _Emitter:
                 # Fell off the end: the interpreter checks the deadline,
                 # then faults on the fetch.  Lint-clean programs never
                 # get here (isa-fall-off-end).
-                self._deadline_guard(pc, n, 0)
+                self._guard(pc, n, 0)
                 self.use("code")
                 self.w(0, f"_ = code[{pc}]")
                 return budget

@@ -38,9 +38,6 @@ class Cache:
     def _set_for(self, line: int) -> "OrderedDict[int, List]":
         return self._sets[line % self.num_sets]
 
-    def line_of(self, addr: int) -> int:
-        return addr // self.line_words
-
     def lookup(self, addr: int):
         """Return the cached value of word *addr*, or None on a miss.
 

@@ -12,7 +12,10 @@ pc) -> (outcome, t, pc, n, resume, flush)``, until an outcome other than
 :data:`CONTINUE`, then does the end-of-burst bookkeeping once.  That
 function is :meth:`Processor._burst` on the interpreter backend, and a
 :mod:`repro.jit.codegen` block on the compiled one (except in traced and
-switch-every-cycle runs).
+switch-every-cycle runs).  The outcome is one of the ``OUT_*`` codes, or
+:data:`STOP` from a compiled block whose guard fired: the loop then
+decides pause or switch the way ``_burst`` does, so the compiled
+backend's scoreboard rule is written once, here.
 
 Design notes for the interpreter (``_burst``):
 
@@ -95,6 +98,10 @@ OUT_HALT = 3
 #: Block-function outcome: control moved to ``pc`` within the same burst,
 #: so the loop calls the function behind it.
 CONTINUE = 4
+#: Compiled-block outcome: a guard stopped before the instruction at
+#: ``pc``, at the deadline or on an in-flight register; the loop resolves
+#: it to a pause, a yield or a switch (``_burst`` never returns it).
+STOP = 5
 
 #: Pauses that ran nothing, at one cycle on one processor, before the run
 #: is declared stalled: a scoreboard entry already due whose delivery
@@ -169,6 +176,7 @@ class Processor:
                 faulted=sim._fault_plan is not None,
             )
             self._funcs = self._compiled.funcs
+            self._hazards = self._compiled.hazards
         else:
             self._funcs = [Processor._burst] * len(self.code)
 
@@ -203,6 +211,26 @@ class Processor:
         sim = self.sim
         stats = sim.stats
         tracer = sim.tracer
+        if outcome == STOP:
+            # _burst's guard decision, for the compiled block that stopped
+            # before pc: the deadline first, then the pc's slots.
+            resume = t
+            if t >= deadline:
+                outcome = OUT_YIELD if self.model == M_IDEAL else OUT_PAUSE
+            else:
+                inflight = thread.inflight
+                blocked = -1
+                for slot in self._hazards[pc]:
+                    ready = inflight.get(slot, -1)
+                    if ready > blocked:
+                        blocked = ready
+                if blocked <= t:
+                    outcome = OUT_PAUSE  # due, its event still queued
+                else:
+                    if self.model != M_USE and self.model != M_USE_MISS:
+                        stats.implicit_use_switches += 1
+                    outcome = OUT_SWITCH
+                    resume = blocked
         elapsed = t - now
         self.busy_cycles += elapsed
         stats.busy_cycles += elapsed

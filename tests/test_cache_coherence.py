@@ -4,7 +4,7 @@ import pytest
 
 from repro.machine import SwitchModel
 from repro.machine.network import MsgKind
-from conftest import run_asm
+from sim_helpers import run_asm
 
 
 def test_producer_consumer_through_cache():

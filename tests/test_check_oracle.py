@@ -15,7 +15,7 @@ from repro.engine import Engine, ResultCache, RunSpec
 from repro.faults import FaultConfig
 from repro.harness import ExperimentContext
 from repro.machine import SwitchModel
-from conftest import run_asm, NONIDEAL_MODELS
+from sim_helpers import run_asm, NONIDEAL_MODELS
 
 _FAULTY = FaultConfig(
     latency_model="uniform", jitter=100, loss_rate=0.02, seed=1

@@ -4,7 +4,7 @@ from repro.isa import assemble, Op
 from repro.compiler import group_block, group_program, GroupingReport
 from repro.compiler.passes import strip_switches, prepare_for_model, grouping_report
 from repro.machine.models import SwitchModel
-from conftest import run_program
+from sim_helpers import run_program
 
 SOR_STYLE = """
     lws  f2, 0(r9)

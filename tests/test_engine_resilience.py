@@ -85,6 +85,29 @@ def test_deadline_stops_an_in_process_run(tmp_path):
         assert engine.counters()["cached"] == 0
 
 
+def test_deadline_failure_is_run_again_until_a_run_succeeds():
+    """A deadline failure is no memo hit: each request simulates the spec
+    again up to the deadline, and ``failure`` reports the deadline until
+    a run of the spec succeeds."""
+    with Engine(workers=1, timeout=0.3) as engine:
+        for attempt in (1, 2):
+            started = time.monotonic()
+            with pytest.raises(Exception, match="DeadlineExceeded"):
+                engine.run(LIVELOCK)
+            assert time.monotonic() - started >= 0.3
+            counters = engine.counters()
+            assert (counters["failed"], counters["memo_hits"]) == (attempt, 0)
+            assert engine.failure(LIVELOCK.key())["type"] == "DeadlineExceeded"
+    quick = _spec("sieve")
+    with Engine(workers=1, timeout=1e-9) as engine:
+        assert engine.run_many([quick], on_error="record") == [None]
+        assert engine.failure(quick.key())["type"] == "DeadlineExceeded"
+        engine.timeout = None
+        assert engine.run(quick).wall_cycles > 0
+        assert engine.failure(quick.key()) is None
+        assert engine.counters()["executed"] == 1
+
+
 def test_deadline_frees_a_pool_worker(tmp_path):
     """A pooled run stops at the deadline too, so ``close()`` finds no
     worker still running it."""

@@ -12,9 +12,7 @@ from repro.isa import Instruction, Program
 from repro.isa.opcodes import BRANCHES, EXPR, FAULTS, Op
 from repro.lint.predict import _CONST_LIMIT, _FOLDED, _const_transfer
 from repro.machine.processor import ExecutionError
-from conftest import run_asm, run_program
-
-BACKENDS = ("interpreter", "compiled")
+from sim_helpers import BACKENDS, run_asm, run_program
 
 
 def _run(asm: str, shared=None, regs=None):

@@ -24,7 +24,7 @@ from repro.faults.rng import bounded, hash_u64, mix64, unit
 from repro.isa import assemble
 from repro.machine import MachineConfig, SimulationTimeout, Simulator, SwitchModel
 from repro.runtime.execution import run_app
-from conftest import run_asm
+from sim_helpers import run_asm
 
 
 # -- configuration -----------------------------------------------------------------

@@ -34,10 +34,10 @@ from repro.machine import SwitchModel
 from repro.obs import RingTracer
 from repro.obs.events import event_to_record
 from repro.runtime.execution import run_app
+from sim_helpers import BACKENDS
 
 FIXTURE = Path(__file__).parent / "data" / "golden_fault_stats.json"
 
-BACKENDS = ("interpreter", "compiled")
 APPS = app_names()
 MODELS = [model.value for model in SwitchModel if model is not SwitchModel.IDEAL]
 

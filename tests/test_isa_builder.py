@@ -3,7 +3,7 @@
 import pytest
 
 from repro.isa import Op, ProgramBuilder, BuilderError
-from conftest import run_program
+from sim_helpers import run_program
 
 
 def test_generated_emitters():

@@ -18,7 +18,10 @@ never hands one program code compiled for a different one:
   to whatever the interpreter does today;
 * the full grid again, with a random third of each program's pcs
   compiled first in random order, because which function ends up
-  serving a region depends on the order entries are first reached.
+  serving a region depends on the order entries are first reached;
+* the source generated at every entry pc of the grid's programs, whose
+  every guard must be one line that stops the block, so the
+  pause-or-switch decision the grid compares is the burst loop's alone.
 
 Traced and switch-every-cycle runs on the compiled backend keep the
 interpreter behind every pc; a test below pins that they compile
@@ -27,11 +30,12 @@ nothing and match the interpreter's event stream too.
 
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
 
-from conftest import run_program
+from sim_helpers import run_program
 from repro.apps.registry import app_names
 from repro.check import check_result
 from repro.engine import Engine
@@ -40,9 +44,10 @@ from repro.engine.spec import RunSpec
 from repro.faults import FaultConfig
 from repro.isa import assemble
 from repro.isa.registers import reg_index
-from repro.jit import compile_seconds_for
+from repro.jit import CompiledProgram, compile_seconds_for
 from repro.lint import lint_spec
 from repro.machine import SwitchModel
+from repro.machine.processor import STOP
 from repro.obs import RingTracer
 from repro.obs.events import event_to_record
 from repro.obs.spans import SpanRecorder
@@ -126,6 +131,48 @@ def test_entry_order_does_not_change_results(app, model):
         f"{app}/{model}: results depend on the order entries compile"
     )
     assert result.wall_cycles == interpreted.wall_cycles
+
+
+#: One generated guard: a deadline or scoreboard test on one line, and a
+#: ``STOP`` return before the pc on the next.
+GUARD = re.compile(
+    r"^( *)if t >= deadline"
+    r"(?: or inflight and \(\d+ in inflight(?: or \d+ in inflight)*\))?:\n"
+    rf"\1    return {STOP}, t, \d+, _n(?: \+ \d+)?, 0, 0$",
+    re.MULTILINE,
+)
+
+
+def test_every_guard_is_one_if_and_one_return():
+    """Each variant the grid compiles, emitted afresh at every pc: each
+    guard is one ``if`` and one ``return`` of ``STOP``, and no block reads
+    a ready time or counts an implicit use-switch itself."""
+    checked = []
+    for app in APPS:
+        for model in MODELS:
+            spec = RunSpec(app=app, model=model, processors=2, level=4,
+                           scale="tiny")
+            built, program = _build(spec.app, spec.total_threads,
+                                    spec.effective_code_model.value, spec.scale)
+            variant = make_simulator(
+                built, spec.machine_config(), program=program,
+                backend="compiled",
+            ).processors[0]._compiled
+            if variant is None or variant in checked:  # switch-every-cycle
+                continue
+            checked.append(variant)
+            fresh = CompiledProgram(program, variant.model, variant.oracle_on,
+                                    variant.cached, variant.faulted)
+            for pc in range(len(fresh.code)):
+                source = fresh.source_for(pc)
+                where = f"{app}/{model} entry {pc}"
+                assert "inflight.get" not in source, where
+                assert "implicit_use_switches" not in source, where
+                guards = len(GUARD.findall(source))
+                assert guards > 0, where
+                assert source.count("t >= deadline") == guards, where
+                assert source.count(f"return {STOP},") == guards, where
+    assert len(checked) > len(APPS)
 
 
 @pytest.mark.parametrize("model", FAULT_MODELS)

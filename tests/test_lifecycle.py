@@ -25,7 +25,7 @@ from repro.faults import (
     build_lifecycle_plan,
 )
 from repro.machine import SwitchModel
-from conftest import run_asm
+from sim_helpers import run_asm
 
 
 def _lifecycle(**kwargs):

@@ -9,7 +9,7 @@ from repro.machine import (
     SimulationTimeout,
     SwitchModel,
 )
-from conftest import run_asm, run_program
+from sim_helpers import run_asm, run_program
 
 
 def test_requires_finalized_program():

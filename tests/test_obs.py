@@ -35,7 +35,7 @@ from repro.obs.runlog import (
     render_runlog_report,
     summarize_runlog,
 )
-from conftest import run_asm
+from sim_helpers import run_asm
 
 WORKLOAD = """
     li r9, 12

@@ -19,7 +19,7 @@ from repro.machine import SwitchModel
 from repro.machine.config import NetworkConfig
 from repro.machine.stats import SimStats
 from repro.runtime import SharedLayout
-from conftest import run_program
+from sim_helpers import run_program
 
 _SETTINGS = dict(
     max_examples=60,

@@ -17,7 +17,7 @@ from repro.runtime import (
     BARRIER_WORDS,
 )
 from repro.apps.base import BuiltApp
-from conftest import run_program, NONIDEAL_MODELS
+from sim_helpers import run_program, NONIDEAL_MODELS
 
 
 # -- layout ---------------------------------------------------------------------

@@ -267,6 +267,22 @@ def test_livelocked_job_fails_at_the_server_deadline(tmp_path):
         assert payload["wall_cycles"] > 0
 
 
+def test_resubmitted_livelocked_job_runs_again(tmp_path):
+    """A job that failed at the server's deadline is run again when it
+    is resubmitted, not failed from the engine's memo."""
+    config = ServerConfig(port=0, quiet=True, cache_dir=tmp_path / "cache",
+                          timeout=0.5)
+    with ReproServer(config) as server, Client(server.url) as client:
+        for attempt in (1, 2):
+            started = time.monotonic()
+            status = client.wait(client.submit(LIVELOCK), timeout=30.0)
+            assert time.monotonic() - started >= 0.5
+            assert status["state"] == "failed"
+            assert status["error"]["type"] == "DeadlineExceeded"
+            counters = server.engine.counters()
+            assert (counters["failed"], counters["memo_hits"]) == (attempt, 0)
+
+
 # -- transport: one kept-alive connection, held waits ---------------------------
 
 

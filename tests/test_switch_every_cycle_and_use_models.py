@@ -3,7 +3,7 @@
 import pytest
 
 from repro.machine import SwitchModel
-from conftest import run_asm
+from sim_helpers import BACKENDS, run_asm
 
 
 def test_sec_interleaves_two_threads_fairly():
@@ -97,24 +97,49 @@ def test_flush_cost_not_charged_by_opcode_identified_models():
 
 
 def test_burst_limit_does_not_change_results():
+    """Burst granularity is invisible: every burst limit, on both
+    backends, gives the same SimStats, whether a burst ends at its
+    deadline, at a load (switch-on-load) or at a use of a register whose
+    load is in flight (explicit-switch, switch-on-use).  The first loop
+    is one burst of about 600 ALU cycles, which limit 16 ends at its
+    deadline 37 times and limit 256 twice; the second runs 17
+    cycles between two switches, so limit 16 also ends each of those
+    bursts once at its deadline."""
     asm = """
         li r9, 200
         li r10, 0
-    loop:
+    spin:
         add r10, r10, r9
         addi r9, r9, -1
+        bne r9, r0, spin
+        li r9, 200
+    loop:
+        lws r11, 1(r0)
+        mul r12, r9, r9
+        add r10, r10, r12
+        addi r9, r9, -1
+        add r10, r10, r11
         bne r9, r0, loop
         sws r10, 0(r0)
         halt
     """
-    walls = set()
-    for limit in (16, 256, 4096):
-        result = run_asm(
-            asm, model=SwitchModel.SWITCH_ON_LOAD, latency=200, burst_limit=limit
-        )
-        assert result.shared[0] == sum(range(1, 201))
-        walls.add(result.wall_cycles)
-    assert len(walls) == 1  # burst granularity is invisible to timing
+    shared = [0, 3] + [0] * 62
+    total = sum(i + i * i + 3 for i in range(1, 201))
+    implicit = {SwitchModel.SWITCH_ON_LOAD: 0, SwitchModel.EXPLICIT_SWITCH: 200,
+                SwitchModel.SWITCH_ON_USE: 0}
+    for model, implicit_switches in implicit.items():
+        seen = set()
+        for limit in (16, 256, 4096):
+            for backend in BACKENDS:
+                result = run_asm(asm, shared=shared, model=model, latency=200,
+                                 burst_limit=limit, backend=backend)
+                assert result.shared[0] == total
+                stats = result.stats
+                assert stats.switches == 200, (model, limit, backend)
+                assert stats.implicit_use_switches == implicit_switches, (
+                    model, limit, backend)
+                seen.add((result.wall_cycles, repr(sorted(stats.to_dict().items()))))
+        assert len(seen) == 1, model
 
 
 def test_latency_zero_non_ideal():

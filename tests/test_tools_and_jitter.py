@@ -4,7 +4,7 @@ import pytest
 
 from repro.machine import MachineConfig, SwitchModel, Simulator
 from repro.tools import render_timeline, timeline_summary
-from conftest import run_asm
+from sim_helpers import run_asm
 
 WORKLOAD = """
     li r9, 12
