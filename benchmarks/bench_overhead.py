@@ -1,13 +1,10 @@
 """What observability and fault injection cost when they are switched on.
 
-The disabled-overhead contracts need no timing: a disabled tracer or
-span recorder is dropped at construction, and an inert ``FaultConfig``
-or a lifecycle that never transitions builds no fault machinery, so the
-switched-off forms run the bare code.  Tier-1 tests pin that
-normalisation (``test_disabled_tracer_is_dropped_at_construction``,
-``test_active_normalises_disabled_recorders_to_none``,
-``test_engine_drops_a_disabled_recorder`` and
-``test_inert_configs_build_no_fault_machinery``).
+The switched-off forms need no timing: ``None`` is the only way to turn
+the tracer or the span recorder off, and an inert ``FaultConfig`` or a
+lifecycle that never transitions builds no fault machinery
+(``test_inert_configs_build_no_fault_machinery``), so they run the bare
+code.
 
 The enabled tracer, the enabled recorder and active faults may cost
 real time: they are measured and sanity-checked here, not bounded.

@@ -9,13 +9,14 @@ grid.  It is a script, not a pytest module::
     PYTHONPATH=src python benchmarks/bench_throughput.py --quick    # CI subset
 
 Each invocation writes one ``BENCH_<backend>.json`` per measured
-backend into ``--out-dir`` (repo root by default).  When the compiled
-backend is measured and ``BENCH_interpreter.json`` already exists on
-disk, the compiled report also records per-cell and geomean speedups
-against that committed baseline — the baseline is captured once, before
-backend optimization work, and stays frozen so speedups are measured
-against the interpreter the project started from (see the EXPERIMENTS
-throughput appendix).
+backend into ``--out-dir`` (``bench-out/`` under the repo root by
+default).  The compiled report also records per-cell and geomean
+speedups against the committed ``BENCH_interpreter.json`` at the repo
+root, read before anything is written, for the cells measured at that
+baseline's scale and machine shape.  The baseline was captured once,
+before backend optimization work, and stays frozen so speedups are
+measured against the interpreter the project started from (see the
+EXPERIMENTS throughput appendix).
 
 Each cell times its backends back to back, round by round, and keeps
 the best of ``--repeats`` for each, so the live compiled/interpreter
@@ -38,15 +39,19 @@ import math
 import os
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.api import list_apps, list_models
 from repro.engine.executor import _build
 from repro.engine.spec import RunSpec
 from repro.jit import resolve_backend
 from repro.runtime.execution import make_simulator
+
+#: The committed, frozen interpreter baseline.
+BASELINE = os.path.join(REPO_ROOT, "BENCH_interpreter.json")
 
 #: CI subset: two Table 1 applications plus one fixed synthetic kernel
 #: (seeded, so its code is identical on every host — a stable probe of
@@ -168,17 +173,30 @@ def _cross_check(reports: Dict[str, Dict]) -> None:
     print("cross-check: SimStats bit-identical across backends")
 
 
-def _attach_baseline(report: Dict, out_dir: str) -> None:
-    """Record speedups vs the committed interpreter baseline, if any."""
-    path = os.path.join(out_dir, "BENCH_interpreter.json")
-    if report["backend"] == "interpreter" or not os.path.exists(path):
-        return
-    with open(path) as fh:
+def _load_baseline(
+    scale: str, processors: int, level: int
+) -> Dict[Tuple[str, str], float]:
+    """Cycles/sec per (app, model) cell of the committed baseline; empty
+    when it is missing or was measured at another scale or shape."""
+    if not os.path.exists(BASELINE):
+        return {}
+    with open(BASELINE) as fh:
         baseline = json.load(fh)
-    base_cells = {
+    shape = (baseline["scale"], baseline["processors"], baseline["level"])
+    if shape != (scale, processors, level):
+        return {}
+    return {
         (c["app"], c["model"]): c["cycles_per_sec"]
         for c in baseline["cells"]
     }
+
+
+def _attach_baseline(
+    report: Dict, base_cells: Dict[Tuple[str, str], float]
+) -> None:
+    """Record speedups vs the committed interpreter baseline's cells."""
+    if report["backend"] == "interpreter":
+        return
     ratios = []
     for cell in report["cells"]:
         ref = base_cells.get((cell["app"], cell["model"]))
@@ -223,8 +241,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--out-dir",
-        default=os.path.join(os.path.dirname(__file__), ".."),
-        help="where BENCH_<backend>.json files land (default: repo root)",
+        default=os.path.join(REPO_ROOT, "bench-out"),
+        help="where BENCH_<backend>.json files land (default: bench-out/ "
+        "under the repo root)",
     )
     parser.add_argument(
         "--min-ratio",
@@ -238,6 +257,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     apps = args.apps or (list(QUICK_APPS) if args.quick else list_apps())
     models = args.models or list_models()
     backends = [resolve_backend(b) for b in args.backends]
+    base_cells = _load_baseline(args.scale, args.processors, args.level)
 
     print(f"measuring backends={', '.join(backends)} on "
           f"{len(apps)}x{len(models)} grid (scale={args.scale}, best of "
@@ -248,8 +268,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     _cross_check(reports)
 
+    os.makedirs(args.out_dir, exist_ok=True)
     for report in reports.values():
-        _attach_baseline(report, args.out_dir)
+        _attach_baseline(report, base_cells)
         path = _write(report, args.out_dir)
         line = (
             f"{report['backend']}: geomean "

@@ -19,6 +19,7 @@ time, for ugray under conditional-switch:
 from repro.apps import UgrayApp
 from repro.compiler import prepare_for_model
 from repro.machine import MachineConfig, SwitchModel, SimulationTimeout
+from repro.obs import RingTracer
 from repro.runtime import make_simulator
 from repro.tools import render_timeline, timeline_summary
 
@@ -35,25 +36,25 @@ def run_with_interval(interval: int, budget: int):
         threads_per_processor=3,
         latency=200,
         forced_switch_interval=interval,
-        record_timeline=True,
         max_cycles=budget,
     )
-    sim = make_simulator(app, config, program=program)
+    tracer = RingTracer(capacity=None)
+    sim = make_simulator(app, config, program=program, tracer=tracer)
     outcome = "completed"
     try:
         sim.run()
     except SimulationTimeout:
         outcome = f"LIVELOCK (cut off at {budget} cycles)"
-    return sim, outcome
+    return tracer.events(), outcome
 
 
 def main():
     budget = 60_000
     for interval, label in ((0, "forced interval OFF"), (200, "forced interval 200")):
-        sim, outcome = run_with_interval(interval, budget)
+        events, outcome = run_with_interval(interval, budget)
         print(f"=== {label}: {outcome} ===")
-        print(render_timeline(sim.timeline, 2, width=72, until=budget))
-        shares = timeline_summary(sim.timeline, 2)
+        print(render_timeline(events, 2, width=72, until=budget))
+        shares = timeline_summary(events, 2)
         for pid, per_thread in shares.items():
             top = sorted(per_thread.items(), key=lambda kv: -kv[1])[:3]
             pretty = ", ".join(f"t{tid}:{cycles}" for tid, cycles in top)

@@ -112,7 +112,7 @@ def simulate(
         backend=backend,
         **overrides,
     )
-    if tracer is not None and tracer.enabled:
+    if tracer is not None:
         from repro.engine.executor import _build
         from repro.runtime.execution import run_app
 

@@ -43,13 +43,9 @@ class InterblockEstimate:
         )
 
 
-def oracle_config(base: MachineConfig, line_words: int = 32) -> MachineConfig:
+def oracle_config(base: MachineConfig) -> MachineConfig:
     """An explicit-switch configuration with the estimator enabled."""
-    return base.replace(
-        model=SwitchModel.EXPLICIT_SWITCH,
-        interblock_oracle=True,
-        oracle_line_words=line_words,
-    )
+    return base.replace(model=SwitchModel.EXPLICIT_SWITCH, interblock_oracle=True)
 
 
 def estimate(stats: SimStats) -> InterblockEstimate:

@@ -45,7 +45,6 @@ from repro.jit import resolve_backend
 from repro.machine.simulator import DeadlineExceeded, SimulationResult, SimulationTimeout
 from repro.obs.runlog import RunLogWriter, peak_rss_kb
 from repro.obs.spans import SpanContext, SpanRecorder, new_span_id, new_trace_id
-from repro.obs.spans import active as active_spans
 
 ProgressFn = Callable[[Dict], None]
 
@@ -205,6 +204,12 @@ def stderr_progress(event: Dict) -> None:
 class Engine:
     """Memoising, caching, parallel executor of simulation specs.
 
+    The engine resolves specs and counts what it did (:meth:`counters`).
+    It never computes static performance bounds: the tools that do
+    (``repro-analyze --validate``, the ``/healthz`` sample) call the
+    engine and bound the programs its build cache holds; the engine
+    never calls them.
+
     :param workers: worker processes for :meth:`run_many`; ``1`` means
         serial in-process execution.
     :param cache: a :class:`ResultCache`, a cache-directory path, or
@@ -233,10 +238,9 @@ class Engine:
     :param spans: a :class:`~repro.obs.spans.SpanRecorder` receiving
         wall-clock stage spans (cache-lookup / dispatch / simulate, and
         deserialize for disk hits and pool runs) per resolved spec.
-        Disabled recorders are normalised to ``None`` (the tracer
-        contract), so the default costs one ``is not None`` check per
-        stage.  Spans never enter the result cache — payloads are
-        stripped before persisting.
+        ``None`` (the default) is off and costs one ``is not None``
+        check per stage.  Spans never enter the result cache — payloads
+        are stripped before persisting.
     """
 
     def __init__(
@@ -253,7 +257,7 @@ class Engine:
             raise ValueError("workers must be >= 1")
         self.workers = workers
         self.check = check
-        self.spans = active_spans(spans)
+        self.spans = spans
         #: Trace context engine-emitted spans parent under (set per
         #: :meth:`run_many` call via its ``trace`` argument).
         self._trace = None
@@ -287,9 +291,6 @@ class Engine:
         self._simulated_cycles = 0
         self._wall_time = 0.0
         self._started = time.perf_counter()
-        #: Distinct (program, machine shape) combos resolved so far —
-        #: the inputs :meth:`predicted` feeds the static predictor.
-        self._predict_keys: Dict[Tuple, str] = {}
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -358,50 +359,10 @@ class Engine:
             }
         )
 
-    def predicted(self) -> Dict[str, Dict]:
-        """Static performance bounds (:mod:`repro.lint.predict`) for
-        every distinct program this engine resolved, keyed by spec
-        label.  Memoised per (app, model, shape); a program the
-        predictor cannot analyse is skipped — prediction must never
-        fail a sweep.  The loop runs over a snapshot: a ``/healthz``
-        request calls this while the serve scheduler thread records new
-        keys."""
-        from repro.lint import predict_spec_cached
-
-        out: Dict[str, Dict] = {}
-        for key, label in list(self._predict_keys.items()):
-            try:
-                prediction = predict_spec_cached(*key)
-            except Exception:  # noqa: BLE001 - advisory output only
-                continue
-            out[label] = prediction.to_dict()
-        return out
-
-    def _record_predict_key(self, spec: RunSpec) -> None:
-        try:
-            forced = spec.machine_config().forced_switch_interval
-        except Exception:  # noqa: BLE001 - bad overrides already failed the run
-            return
-        key = (
-            spec.app,
-            spec.model,
-            spec.processors,
-            spec.level,
-            spec.scale,
-            spec.effective_latency,
-            forced,
-            spec.effective_code_model.value,
-        )
-        self._predict_keys.setdefault(key, spec.label())
-
-    def report(self) -> Dict:
-        """Machine-readable summary of everything this engine did: the
-        :meth:`predicted` bounds, then the :meth:`counters`."""
-        return {"predicted": self.predicted(), **self.counters()}
-
     def counters(self) -> Dict:
-        """The engine's counts — :meth:`report` without the
-        ``predicted`` block, so reading them never runs the predictor."""
+        """Machine-readable summary of everything this engine did: its
+        run, cache, lint and check counts, cycles, times and resources
+        (what ``repro-bench --json`` embeds and ``/healthz`` reports)."""
         completed = self._counts["executed"] + self._counts["cached"]
         return {
             "executed": self._counts["executed"],
@@ -549,7 +510,6 @@ class Engine:
                 return
         self._memo[key] = result
         self._failures.pop(key, None)  # a deadline failure's rerun succeeded
-        self._record_predict_key(spec)
         if source == "run":
             self._counts["executed"] += 1
             backend = resolve_backend(spec.backend)

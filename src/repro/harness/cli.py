@@ -123,7 +123,7 @@ def main(argv=None) -> int:
         const="results.json",
         default=None,
         metavar="PATH",
-        help="also write structured results + engine report as JSON "
+        help="also write structured results + engine counters as JSON "
         "(default path: results.json)",
     )
     parser.add_argument(
@@ -214,7 +214,7 @@ def main(argv=None) -> int:
                     "faults": faults.to_dict() if faults is not None else None,
                 },
                 "targets": targets_out,
-                "engine": engine.report(),
+                "engine": engine.counters(),
             }
             with open(args.json, "w", encoding="utf-8") as handle:
                 json.dump(document, handle, indent=2)

@@ -20,7 +20,6 @@ from typing import Dict, Iterable, Optional
 from repro.apps.registry import ALL_APPS, app_names, get_app
 from repro.engine.executor import Engine
 from repro.engine.spec import RunSpec
-from repro.machine.config import MachineConfig
 from repro.machine.models import SwitchModel
 from repro.machine.simulator import SimulationResult
 from repro.harness.sizes import scale_sizes
@@ -97,15 +96,6 @@ class ExperimentContext:
         # Apps outside the scale tables (synth: kernels) take no size
         # keywords — same contract as repro.harness.sizes.sizes_for.
         return dict(self.sizes.get(app_name, {}))
-
-    def config(self, model: SwitchModel, processors: int, level: int, **extra):
-        return MachineConfig(
-            model=model,
-            num_processors=processors,
-            threads_per_processor=level,
-            latency=0 if model is SwitchModel.IDEAL else self.latency,
-            **extra,
-        )
 
     def spec(
         self,

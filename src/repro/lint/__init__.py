@@ -23,6 +23,8 @@ Entry points:
   lower it for a model, and lint the pair (``lint_spec_cached`` memoises
   per process); ``Engine(check=True)`` gates every spec it resolves on
   :func:`lint_spec`;
+* :func:`predict_spec` — the static performance bounds of the program a
+  spec runs, from the same build (:mod:`repro.lint.predict`);
 * the ``repro-lint`` CLI (``python -m repro.lint``).
 
 The rules themselves are proven live by seeded mutation self-tests
@@ -75,6 +77,7 @@ __all__ = [
     "lint_matrix",
     "predict_prepared",
     "predict_program",
+    "predict_spec",
     "predict_spec_cached",
 ]
 
@@ -162,12 +165,16 @@ def predict_spec_cached(
     code_model: Optional[str] = None,
 ) -> ModelPrediction:
     """Per-process memo of the static performance bounds for the program
-    a :class:`~repro.engine.spec.RunSpec` would run — the engine attaches
-    these to its report (and ``/healthz``), and sweeps repeat
-    (app, model, shape) triples.  *code_model* lowers the program for a
-    different model than the machine runs (the reorganisation-penalty
-    experiments); the bounds always describe the *machine* model's
-    switching semantics over that code."""
+    a :class:`~repro.engine.spec.RunSpec` would run (see
+    :func:`predict_spec`), built by the engine's ``_build``.  Its callers
+    are the predictor's tools, never the engine:
+    ``repro-analyze --validate`` bounds each cell it resolves through an
+    engine, and ``/healthz`` predicts a bounded sample of recent specs,
+    which fits in this memo, so a repeated scrape predicts nothing new.
+    *code_model* lowers the program for a different model than the
+    machine runs (the reorganisation-penalty experiments); the bounds
+    always describe the *machine* model's switching semantics over that
+    code."""
     from repro.engine.executor import _build
 
     resolved = SwitchModel.parse(model)
@@ -180,6 +187,21 @@ def predict_spec_cached(
         processors=processors,
         level=level,
         forced_interval=forced_interval,
+    )
+
+
+def predict_spec(spec) -> ModelPrediction:
+    """Static bounds for the program a :class:`~repro.engine.spec.RunSpec`
+    would run on its machine (memoised by :func:`predict_spec_cached`)."""
+    return predict_spec_cached(
+        spec.app,
+        spec.model,
+        spec.processors,
+        spec.level,
+        spec.scale,
+        spec.effective_latency,
+        spec.machine_config().forced_switch_interval,
+        spec.effective_code_model.value,
     )
 
 

@@ -17,10 +17,11 @@ Soundness caveats the checks encode:
   meaningful run-length census.
 
 :func:`validate_apps` gates the 7 × 8 application grid behind
-``repro-analyze --validate``.  Generated kernels are checked by the
-differential fuzzer, which applies :func:`prediction_violations` to
-every fault-free grid it runs (:mod:`repro.synth.fuzz`), and shrinks,
-bundles and self-tests ``predict-*`` failures like any other invariant.
+``repro-analyze --validate``, resolving it through the engine.
+Generated kernels are checked by the differential fuzzer, which applies
+:func:`prediction_violations` to every fault-free grid it runs
+(:mod:`repro.synth.fuzz`), and shrinks, bundles and self-tests
+``predict-*`` failures like any other invariant.
 """
 
 from __future__ import annotations
@@ -28,12 +29,10 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from repro.check import Violation
-from repro.compiler.passes import prepare_for_model
-from repro.machine.config import MachineConfig
+from repro.lint import lint_spec, predict_spec
+from repro.lint.predict import ModelPrediction
 from repro.machine.models import SwitchModel
 from repro.machine.simulator import SimulationResult
-from repro.runtime.execution import run_app
-from repro.lint.predict import ModelPrediction, predict_prepared
 
 EPSILON = 1e-9
 
@@ -118,90 +117,8 @@ def prediction_violations(
     return violations
 
 
-# ---------------------------------------------------------------------------
-# one (program, model) cell
-# ---------------------------------------------------------------------------
-
-
-def _model_config(
-    model: SwitchModel, processors: int, level: int, latency: int
-) -> MachineConfig:
-    return MachineConfig.create(
-        model=model,
-        processors=processors,
-        level=level,
-        latency=0 if model is SwitchModel.IDEAL else latency,
-    )
-
-
-def check_cell(
-    app,
-    model: "SwitchModel | str",
-    processors: int = 2,
-    level: int = 2,
-    latency: int = 200,
-    t1: Optional[int] = None,
-    where: str = "",
-) -> Dict:
-    """Predict + simulate one (built app, model) cell and compare.
-
-    Returns a JSON-native record carrying both sides of the comparison
-    (for the predicted-vs-measured tables) plus any violations.
-    """
-    from repro.lint import lint_pair
-
-    resolved = SwitchModel.parse(model)
-    prepared = prepare_for_model(app.program, resolved)
-    config = _model_config(resolved, processors, level, latency)
-    prediction = predict_prepared(
-        prepared,
-        resolved,
-        latency=config.latency,
-        processors=processors,
-        level=level,
-        forced_interval=config.forced_switch_interval,
-    )
-    lint_clean = not lint_pair(app.program, prepared, resolved).diagnostics
-    result = run_app(app, config, program=prepared, check=False)
-    violations = prediction_violations(
-        prediction,
-        result,
-        t1=t1,
-        lint_clean=lint_clean,
-        where=where or f"{app.program.name}/{resolved.value}",
-    )
-    stats = result.stats
-    runs = stats.run_lengths
-    measured: Dict = {
-        "run_min": min(runs) if runs else None,
-        "run_max": max(runs) if runs else None,
-        "mean_run_length": round(stats.mean_run_length, 2),
-        "switches": stats.switches,
-        "utilization": round(
-            stats.busy_cycles / (result.wall_cycles * config.num_processors)
-            if result.wall_cycles else 0.0,
-            6,
-        ),
-        "wall_cycles": result.wall_cycles,
-    }
-    if t1 is not None:
-        measured["efficiency"] = round(result.efficiency(t1), 6)
-    return {
-        "model": resolved.value,
-        "lint_clean": lint_clean,
-        "predicted": prediction.to_dict(),
-        "measured": measured,
-        "violations": [
-            {"invariant": v.invariant, "message": v.message}
-            for v in violations
-        ],
-        "_violations": violations,  # live objects, stripped by callers
-    }
-
-
-# ---------------------------------------------------------------------------
-# the seven applications
-# ---------------------------------------------------------------------------
+def _as_dicts(violations: List[Violation]) -> List[Dict]:
+    return [{"invariant": v.invariant, "message": v.message} for v in violations]
 
 
 def validate_apps(
@@ -214,49 +131,83 @@ def validate_apps(
 ) -> Dict:
     """Differential soundness over the benchmark grid.
 
-    Every (application, model) cell is predicted and simulated; the
-    returned summary lists every ``predict-*`` escape (an empty list is
-    the gate's green light) and keeps the per-cell numbers for the
-    predicted-vs-measured tables.
+    Every (application, model) cell, and each application's
+    single-processor baseline, resolves as a :class:`RunSpec` through
+    one :class:`~repro.engine.executor.Engine`.  A cell's bounds come
+    from :func:`~repro.lint.predict_spec` and its lint cleanliness from
+    :func:`~repro.lint.lint_spec`, both over the engine's build of the
+    program it ran.  The returned summary lists every ``predict-*``
+    escape (an empty list is the gate's green light) and keeps the
+    per-cell numbers for the predicted-vs-measured tables.
     """
-    from repro.analysis.efficiency import single_thread_cycles
-    from repro.apps.registry import app_names, get_app
-    from repro.harness.sizes import sizes_for
+    from repro.apps.registry import app_names
+    from repro.engine.executor import Engine
+    from repro.engine.spec import RunSpec
 
     names = list(apps) if apps is not None else app_names()
     wanted = [
-        SwitchModel.parse(m).value
+        SwitchModel.parse(m)
         for m in (models if models is not None else ALL_MODELS)
     ]
+    baselines = [
+        RunSpec(app=name, model=SwitchModel.IDEAL, scale=scale) for name in names
+    ]
+    grid = [
+        RunSpec(
+            app=name,
+            model=model,
+            processors=processors,
+            level=level,
+            scale=scale,
+            latency=0 if model is SwitchModel.IDEAL else latency,
+        )
+        for name in names
+        for model in wanted
+    ]
+    with Engine() as engine:
+        results = engine.run_many(baselines + grid)
+    t1 = {name: result.wall_cycles for name, result in zip(names, results)}
     rows: List[Dict] = []
     violations: List[Violation] = []
-    for name in names:
-        spec = get_app(name)
-        size = sizes_for(spec.name, scale)
-        app = spec.build(processors * level, **size)
-        t1 = single_thread_cycles(spec, size)
-        for model in wanted:
-            cell = check_cell(
-                app,
-                model,
-                processors=processors,
-                level=level,
-                latency=latency,
-                t1=t1,
-                where=f"{name}/{model}",
-            )
-            violations.extend(cell.pop("_violations"))
-            cell["app"] = name
-            rows.append(cell)
+    for spec, result in zip(grid, results[len(baselines):]):
+        lint_clean = not lint_spec(spec).diagnostics
+        prediction = predict_spec(spec)
+        found = prediction_violations(
+            prediction,
+            result,
+            t1=t1[spec.app],
+            lint_clean=lint_clean,
+            where=f"{spec.app}/{spec.model}",
+        )
+        violations.extend(found)
+        stats = result.stats
+        runs = stats.run_lengths
+        rows.append({
+            "app": spec.app,
+            "model": spec.model,
+            "lint_clean": lint_clean,
+            "predicted": prediction.to_dict(),
+            "measured": {
+                "run_min": min(runs) if runs else None,
+                "run_max": max(runs) if runs else None,
+                "mean_run_length": round(stats.mean_run_length, 2),
+                "switches": stats.switches,
+                "utilization": round(
+                    stats.busy_cycles / (result.wall_cycles * processors)
+                    if result.wall_cycles else 0.0,
+                    6,
+                ),
+                "wall_cycles": result.wall_cycles,
+                "efficiency": round(result.efficiency(t1[spec.app]), 6),
+            },
+            "violations": _as_dicts(found),
+        })
     return {
         "scale": scale,
         "processors": processors,
         "level": level,
         "latency": latency,
         "cells": rows,
-        "violations": [
-            {"invariant": v.invariant, "message": v.message}
-            for v in violations
-        ],
+        "violations": _as_dicts(violations),
         "ok": not violations,
     }

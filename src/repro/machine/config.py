@@ -115,11 +115,6 @@ class MachineConfig:
     #: transaction, no wait).  Meaningful with EXPLICIT_SWITCH, where a
     #: SWITCH is then only taken when a real load is outstanding.
     interblock_oracle: bool = False
-    #: Line size (words) of the estimator's one-line cache.
-    oracle_line_words: int = 32
-    #: Record a (time, processor, thread, end, outcome) event per burst
-    #: into ``Simulator.timeline`` (for the timeline tools; small runs only).
-    record_timeline: bool = False
     #: Deterministic latency jitter: each value-returning transaction's
     #: round trip becomes ``latency + U[0, latency_jitter]`` (a hash of
     #: the issue time and address — reproducible).  The paper models a

@@ -39,7 +39,7 @@ from repro.machine.directory import Directory
 from repro.machine.network import MsgKind
 from repro.machine.stats import SimStats
 from repro.machine.thread import ThreadContext
-from repro.obs.tracer import TimelineTracer, Tracer
+from repro.obs.tracer import Tracer
 
 
 class SimulationTimeout(Exception):
@@ -199,20 +199,12 @@ class Simulator:
         #: Section 5.2 estimator: one-line cache per thread.
         self.oracle_caches = None
         if config.interblock_oracle:
-            self.oracle_caches = [
-                OneLineCache(config.oracle_line_words) for _ in self.threads
-            ]
+            self.oracle_caches = [OneLineCache() for _ in self.threads]
 
-        #: The probe sink (None = tracing off).  The disabled-overhead
-        #: contract: a tracer whose ``enabled`` flag is false is dropped
-        #: *here*, so every hot path pays exactly one ``is not None``
-        #: check and nothing else when tracing is off.  Normalized before
-        #: the processors exist: a traced run keeps the interpreter even
-        #: on the compiled backend.
-        if tracer is not None and not tracer.enabled:
-            tracer = None
-        if tracer is None and config.record_timeline:
-            tracer = TimelineTracer()
+        #: The probe sink.  ``None`` is off: every hot path then pays
+        #: exactly one ``is not None`` check and nothing else.  Set
+        #: before the processors exist: a traced run keeps the
+        #: interpreter even on the compiled backend.
         self.tracer: Optional[Tracer] = tracer
 
         self._heap: List = []
@@ -279,18 +271,6 @@ class Simulator:
             group = self.threads[pid * per : (pid + 1) * per]
             cache = Cache(config.cache) if config.model.uses_cache else None
             self.processors.append(Processor(self, pid, group, cache))
-
-    @property
-    def timeline(self) -> Optional[List]:
-        """Burst tuples ``(start, pid, tid, end, outcome)`` when a
-        burst-recording tracer is attached (``record_timeline=True`` or
-        any :class:`~repro.obs.RingTracer`), else ``None``.
-
-        The ASCII timeline and the Chrome trace both derive from the
-        same tracer event stream — two views of one source of truth.
-        """
-        getter = getattr(self.tracer, "burst_tuples", None)
-        return getter() if getter is not None else None
 
     def _pid_of(self, tid: int) -> int:
         return tid // self.config.threads_per_processor

@@ -24,8 +24,8 @@ Quickstart::
                       level=4, scale="tiny", tracer=tracer)
     write_chrome_trace("trace.json", tracer.events(), tracer.dropped)
 
-With tracing disabled (the default) the simulator's hot paths pay a
-single attribute check — see ``benchmarks/bench_overhead.py``.
+With no tracer (the default) the simulator's hot paths pay a single
+attribute check.
 """
 
 from repro.obs.events import (
@@ -38,7 +38,7 @@ from repro.obs.events import (
     record_to_event,
     write_events_jsonl,
 )
-from repro.obs.tracer import NullTracer, RingTracer, TimelineTracer, Tracer
+from repro.obs.tracer import RingTracer, Tracer
 from repro.obs.chrome import chrome_trace, validate_chrome_trace, write_chrome_trace
 from repro.obs.metrics import (
     Counter,
@@ -55,7 +55,6 @@ from repro.obs.runlog import (
     summarize_runlog,
 )
 from repro.obs.spans import (
-    NullSpanRecorder,
     Span,
     SpanContext,
     SpanRecorder,
@@ -77,9 +76,7 @@ __all__ = [
     "write_events_jsonl",
     "read_events_jsonl",
     "Tracer",
-    "NullTracer",
     "RingTracer",
-    "TimelineTracer",
     "chrome_trace",
     "write_chrome_trace",
     "validate_chrome_trace",
@@ -96,7 +93,6 @@ __all__ = [
     "Span",
     "SpanContext",
     "SpanRecorder",
-    "NullSpanRecorder",
     "read_spans_jsonl",
     "write_spans_jsonl",
     "render_span_report",

@@ -211,7 +211,7 @@ def read_events_jsonl(path) -> List[TraceEvent]:
 
 def bursts(events: Iterable[TraceEvent]):
     """Yield ``(start, pid, tid, end, outcome)`` tuples from the BURST
-    events of a stream — the shape :mod:`repro.tools.timeline` consumes."""
+    events of a stream (what :mod:`repro.tools.timeline` reads)."""
     for event in events:
         if event.kind is EventKind.BURST:
             yield (event.time, event.pid, event.tid, event.data[0], event.data[1])

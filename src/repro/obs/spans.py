@@ -27,12 +27,9 @@ a W3C ``traceparent`` string, so a served job yields one tree::
         serialize               result payloads built
         journal                 finish record flushed
 
-The :class:`SpanRecorder` has the same disabled-overhead contract as
-:class:`~repro.obs.tracer.Tracer`: instrumented layers normalise a
-recorder whose ``enabled`` flag is false to ``None`` (see
-:func:`active`), so with recording off every probe site pays one local
-load plus one ``is not None`` check and emitted byte streams stay
-identical (``benchmarks/bench_overhead.py`` bounds the cost).
+As with :class:`~repro.obs.tracer.Tracer`, ``None`` is off: with no
+recorder every probe site pays one local load plus one ``is not None``
+check, and emitted byte streams stay identical.
 
 Finished spans export three ways:
 
@@ -200,16 +197,6 @@ class Span:
         )
 
 
-def active(recorder) -> Optional["SpanRecorder"]:
-    """Normalise a recorder for the hot-path contract: a recorder whose
-    ``enabled`` flag is false becomes ``None``, so instrumented layers
-    only ever test ``recorder is not None`` (mirrors how the simulator
-    treats disabled tracers)."""
-    if recorder is not None and recorder.enabled:
-        return recorder
-    return None
-
-
 class SpanRecorder:
     """Collects finished spans; optionally mirrors them to a JSONL log
     and a :class:`MetricsRegistry` stage-latency histogram family.
@@ -224,8 +211,6 @@ class SpanRecorder:
     :param log: path of a JSONL span log appended to as spans finish
         (``None`` = in-memory only).
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -339,13 +324,6 @@ class SpanRecorder:
             if self._writer is not None:
                 self._writer.close()
                 self._writer = None
-
-
-class NullSpanRecorder(SpanRecorder):
-    """A recorder that is switched off: :func:`active` maps it to
-    ``None``, so instrumented layers skip every probe."""
-
-    enabled = False
 
 
 # -- JSONL ---------------------------------------------------------------------

@@ -1,32 +1,25 @@
 """The probe API: what the machine calls when something happens.
 
-A tracer is any object with the emit methods below.  The contract with
-the hot paths is strict: when tracing is disabled the *only* cost the
-machine pays is one attribute check (``if tracer is not None``) — the
-:class:`~repro.machine.simulator.Simulator` normalises any tracer whose
-``enabled`` flag is false to ``None`` at construction time, so a
-disabled tracer and no tracer are indistinguishable to the interpreter
-loop (``benchmarks/bench_overhead.py`` asserts this costs <3%).
+A tracer is any object with the emit methods below.  ``None`` is off:
+the machine's hot paths then pay one attribute check
+(``if tracer is not None``) and nothing else.
 
-Three implementations ship:
+Two implementations ship:
 
 * :class:`Tracer` — the no-op base; every emit method does nothing, so a
   subclass overrides only the probes it cares about;
-* :class:`NullTracer` — a disabled tracer (``enabled = False``);
 * :class:`RingTracer` — records every event into a bounded
   :class:`~repro.obs.events.RingBuffer` and issues memory-transaction
-  ids, feeding the exporters in :mod:`repro.obs.chrome` and the metrics
-  derivation in :mod:`repro.obs.metrics`;
-* :class:`TimelineTracer` — records only burst events (what the old
-  ``MachineConfig.record_timeline`` flag captured) into an unbounded
-  list.
+  ids, feeding the exporters in :mod:`repro.obs.chrome`, the ASCII
+  timeline in :mod:`repro.tools.timeline` and the metrics derivation in
+  :mod:`repro.obs.metrics`.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.obs.events import EventKind, MEMORY_SIDE, RingBuffer, TraceEvent, bursts
+from repro.obs.events import EventKind, MEMORY_SIDE, RingBuffer, TraceEvent
 
 
 class Tracer:
@@ -36,10 +29,6 @@ class Tracer:
     must return an integer transaction id (``0`` is fine for sinks that
     do not correlate issues with completions).
     """
-
-    #: Tracers with ``enabled = False`` are dropped by the simulator at
-    #: construction time — the hot paths then see ``tracer is None``.
-    enabled = True
 
     # -- processor-side probes -------------------------------------------------
 
@@ -123,25 +112,6 @@ class Tracer:
         """Memory *component* finished repairing and is serving again."""
 
 
-class NullTracer(Tracer):
-    """A tracer that is switched off: the machine treats it as absent."""
-
-    enabled = False
-
-
-class TimelineTracer(Tracer):
-    """Burst-only recording (the old ``record_timeline`` behaviour)."""
-
-    def __init__(self):
-        self._bursts: List[Tuple[int, int, int, int, int]] = []
-
-    def burst(self, start: int, pid: int, tid: int, end: int, outcome: int) -> None:
-        self._bursts.append((start, pid, tid, end, outcome))
-
-    def burst_tuples(self) -> List[Tuple[int, int, int, int, int]]:
-        return list(self._bursts)
-
-
 class RingTracer(Tracer):
     """Record every probe into a bounded ring of typed events.
 
@@ -168,10 +138,6 @@ class RingTracer(Tracer):
     @property
     def total_events(self) -> int:
         return self.buffer.total
-
-    def burst_tuples(self) -> List[Tuple[int, int, int, int, int]]:
-        """Burst events as timeline tuples (see :mod:`repro.tools.timeline`)."""
-        return list(bursts(self.buffer))
 
     def clear(self) -> None:
         self.buffer.clear()

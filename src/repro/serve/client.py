@@ -42,7 +42,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.engine.spec import RunSpec
 from repro.obs.spans import SpanContext, new_span_id, new_trace_id
-from repro.obs.spans import active as active_spans
 
 SpecLike = Union[RunSpec, Dict]
 
@@ -89,8 +88,8 @@ class Client:
 
     :param base_url: server address, e.g. ``http://127.0.0.1:8023``.
     :param timeout: socket timeout per request in seconds.
-    :param spans: optional :class:`~repro.obs.spans.SpanRecorder`; when
-        enabled, every :meth:`submit` is wrapped in a ``client-submit``
+    :param spans: optional :class:`~repro.obs.spans.SpanRecorder`; with
+        one, every :meth:`submit` is wrapped in a ``client-submit``
         span whose trace the server joins.  Submissions always carry a
         ``traceparent`` header either way — a span-recording server
         correlates them even when the client keeps no spans itself.
@@ -103,7 +102,7 @@ class Client:
             raise ValueError(f"expected an http:// URL, got {base_url!r}")
         self._netloc, self._prefix = parts.netloc, parts.path
         self.timeout = timeout
-        self.spans = active_spans(spans)
+        self.spans = spans
         self._local = threading.local()
 
     # -- transport -------------------------------------------------------------

@@ -28,14 +28,15 @@ Three mechanisms keep the server healthy under load:
 from __future__ import annotations
 
 import collections
+import itertools
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.executor import Engine
+from repro.engine.spec import RunSpec
 from repro.obs.metrics import MetricsRegistry, labeled_key
 from repro.obs.spans import STAGE_FLOOR, STAGE_HISTOGRAM
-from repro.obs.spans import active as active_spans
 from repro.serve.jobs import Job, JobJournal, JobState
 
 #: Counter names registered up front so ``/metrics`` is complete (and
@@ -78,10 +79,9 @@ class JobScheduler:
     :param spans: a :class:`~repro.obs.spans.SpanRecorder` (or ``None``)
         receiving the scheduler-side stages of every traced job —
         admit/coalesce at submission, queue-wait/execute/serialize/
-        journal as the worker thread drains it.  A disabled recorder is
-        normalised to ``None`` (the usual zero-overhead contract); an
-        enabled one without a metrics sink adopts the scheduler's
-        registry, so stage latencies surface at ``/metrics``.
+        journal as the worker thread drains it.  A recorder without a
+        metrics sink adopts the scheduler's registry, so stage latencies
+        surface at ``/metrics``.
     """
 
     def __init__(
@@ -101,7 +101,7 @@ class JobScheduler:
         self.metrics = MetricsRegistry()
         for name, help_text in _COUNTERS.items():
             self.metrics.counter(name, help=help_text)
-        self.spans = active_spans(spans)
+        self.spans = spans
         if self.spans is not None and self.spans.metrics is None:
             self.spans.metrics = self.metrics
         self.jobs: Dict[str, Job] = {}
@@ -435,6 +435,21 @@ class JobScheduler:
                 labels={"rule": rule, "severity": severity},
             ).value = count
         return self.metrics.to_prometheus()
+
+    def recent_specs(self, limit: int) -> List[RunSpec]:
+        """Up to *limit* specs of distinct labels from the finished jobs
+        among the *limit* most recently admitted, newest first.  Reading
+        at most *limit* jobs bounds the time spent under the lock, however
+        many jobs the table retains."""
+        specs: Dict[str, RunSpec] = {}
+        with self._lock:
+            for job in itertools.islice(reversed(self.jobs.values()), limit):
+                if len(specs) >= limit:
+                    break
+                if job.state is JobState.DONE:
+                    for spec in job.specs:
+                        specs.setdefault(spec.label(), spec)
+        return list(specs.values())[:limit]
 
     def status_dict(self) -> Dict:
         """The ``/healthz`` scheduler view."""

@@ -16,9 +16,9 @@ Endpoints (JSON in, JSON out, ``/metrics`` excepted):
   settles, S seconds pass (S is clamped to :data:`MAX_WAIT_S`; a
   non-number is a 400) or the server shuts down, so a client learns
   the outcome in one request instead of polling.
-* ``GET /healthz`` — liveness + queue/job counts + engine report
-  (including the static performance bounds, ``predicted``, of every
-  program the engine ran).
+* ``GET /healthz`` — liveness + queue/job counts + the engine's
+  counters, with the static performance bounds, ``predicted``, of a
+  bounded sample of recent programs (:data:`HEALTH_PREDICTIONS`).
 * ``GET /metrics`` — Prometheus text exposition
   (:meth:`MetricsRegistry.to_prometheus`).
 * ``POST /v1/shutdown`` — graceful drain then exit (also ``SIGTERM``).
@@ -84,6 +84,12 @@ SHUTDOWN_POLL_S = 0.05
 #: times the slowest run of a bench-scale reproduction (1.21 s on a
 #: 2-vCPU VM, interpreted: sor explicit-switch P2 M8 with faults).
 RUN_TIMEOUT_S = 60.0
+#: ``/healthz`` predicts the specs of at most this many distinct labels,
+#: read from the finished jobs among this many most recently admitted
+#: (:meth:`JobScheduler.recent_specs`).  The sample fits well inside the
+#: 128 entries :func:`repro.lint.predict_spec_cached` keeps, so a scrape
+#: costs a bounded amount and a repeated scrape predicts nothing new.
+HEALTH_PREDICTIONS = 32
 
 
 @dataclasses.dataclass
@@ -448,11 +454,28 @@ class ReproServer:
     def url(self) -> str:
         return f"http://{self.config.host}:{self.port}"
 
+    def predicted(self) -> Dict[str, Dict]:
+        """Static performance bounds (:mod:`repro.lint.predict`) of the
+        distinct specs of the :data:`HEALTH_PREDICTIONS` most recent jobs,
+        keyed by label.  A program the predictor cannot analyse is
+        skipped: prediction never fails a scrape."""
+        from repro.lint import predict_spec
+
+        out: Dict[str, Dict] = {}
+        for spec in self.scheduler.recent_specs(HEALTH_PREDICTIONS):
+            try:
+                out[spec.label()] = predict_spec(spec).to_dict()
+            except Exception:  # noqa: BLE001 - advisory output only
+                continue
+        return out
+
     def health_dict(self) -> Dict:
         health = self.scheduler.status_dict()
         health["uptime"] = round(time.time() - self.started, 3)
         health["recovered"] = self.recovered
-        health["engine"] = self.engine.report()
+        health["engine"] = {
+            "predicted": self.predicted(), **self.engine.counters()
+        }
         if self.spans is not None:
             health["spans"] = {
                 "recorded": self.spans.recorded,

@@ -2,13 +2,9 @@
 
 This is one of the views over the :mod:`repro.obs` event stream (the
 Chrome ``trace_event`` exporter in :mod:`repro.obs.chrome` is another).
-Both functions here accept either
-
-* the classic burst tuples ``(start, pid, tid, end, outcome)`` — what
-  ``Simulator.timeline`` returns under ``record_timeline=True``, or
-* a stream of :class:`~repro.obs.events.TraceEvent` objects (for
-  example ``RingTracer.events()``), from which the BURST events are
-  extracted automatically.
+Both functions here take a stream of
+:class:`~repro.obs.events.TraceEvent` objects (for example
+``RingTracer.events()``) and read its BURST events.
 
 :func:`render_timeline` buckets the bursts into a fixed-width chart,
 one row per processor, marking each bucket with the thread that was
@@ -22,31 +18,21 @@ work-queue lock everyone else spins on — never appear.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List
 
 from repro.obs.events import TraceEvent, bursts
 
 _GLYPHS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
-BurstEvent = Tuple[int, int, int, int, int]  # start, pid, tid, end, outcome
-
-
-def _as_bursts(events: Iterable) -> List[BurstEvent]:
-    """Normalize either burst tuples or a TraceEvent stream to bursts."""
-    events = list(events)
-    if events and isinstance(events[0], TraceEvent):
-        return list(bursts(events))
-    return events
-
 
 def render_timeline(
-    events: Sequence[BurstEvent],
+    events: Iterable[TraceEvent],
     num_processors: int,
     width: int = 72,
     until: "int | None" = None,
 ) -> str:
-    """Render the burst *events* as one occupancy row per processor."""
-    events = _as_bursts(events)
+    """Render the bursts of *events* as one occupancy row per processor."""
+    events = list(bursts(events))
     if not events:
         return "(empty timeline)"
     horizon = until if until is not None else max(end for _s, _p, _t, end, _o in events)
@@ -92,11 +78,10 @@ def render_timeline(
 
 
 def timeline_summary(
-    events: Sequence[BurstEvent], num_processors: int
+    events: Iterable[TraceEvent], num_processors: int
 ) -> Dict[int, Dict[int, int]]:
     """Busy cycles per thread per processor: {pid: {tid: cycles}}."""
-    events = _as_bursts(events)
     summary: Dict[int, Dict[int, int]] = {pid: {} for pid in range(num_processors)}
-    for start, pid, tid, end, _outcome in events:
+    for start, pid, tid, end, _outcome in bursts(events):
         summary[pid][tid] = summary[pid].get(tid, 0) + max(0, end - start)
     return summary

@@ -11,14 +11,12 @@ import pytest
 from repro.analysis import (
     TextTable,
     run_length_row,
-    single_thread_cycles,
     bandwidth_row,
 )
 from repro.analysis.runlength import format_row_cells, RUN_BIN_LABELS
-from repro.apps import get_app
 from repro.compiler.interblock import oracle_config, estimate
 from repro.harness import ExperimentContext
-from repro.harness.sizes import scale_sizes, SCALES
+from repro.harness.sizes import scale_sizes
 from repro.harness import tables as T
 from repro.harness import figures as F
 from repro.machine import MachineConfig, SwitchModel
@@ -47,11 +45,8 @@ def test_text_table_render():
 
 
 def test_single_thread_cycles_and_penalty(ctx):
-    spec = get_app("sor")
-    size = SCALES["tiny"]["sor"]
-    t1 = single_thread_cycles(spec, size)
+    t1 = ctx.t1("sor")
     assert t1 > 1000
-    assert t1 == ctx.t1("sor")
     penalty = (ctx.reorganised_t1("sor") - t1) / t1
     assert 0.0 <= penalty < 0.15  # a few percent, as in the paper
 
@@ -205,14 +200,18 @@ def test_cli_all_tiny_matches_the_committed_reproduction(capsys):
 def test_cli_all_tiny_checked_lints_and_checks_every_run_once(tmp_path, capsys):
     """``--check`` lints and checks each run of the tiny reproduction
     once, Table 5's grouped-code baselines among them, and changes
-    neither the tables nor the engine's summary."""
+    neither the tables nor the engine's summary; nothing predicts."""
     import json
 
+    from repro.lint import predict_spec_cached
+
     report = tmp_path / "checked.json"
+    before = predict_spec_cached.cache_info()
     assert cli_main([
         "all", "--scale", "tiny", "--no-cache", "--quiet", "--check",
         "--json", str(report),
     ]) == 0
+    after = predict_spec_cached.cache_info()
     captured = capsys.readouterr()
     assert captured.out == _PAPER_TINY.read_text(encoding="utf-8")
     assert sum(_TINY_SUMMARY in line for line in captured.err.splitlines()) == 1
@@ -220,6 +219,9 @@ def test_cli_all_tiny_checked_lints_and_checks_every_run_once(tmp_path, capsys):
     assert engine["checked"] == engine["completed"] == 314
     # The livelock probe lints clean too, then fails by running out.
     assert engine["linted"] == 315 and engine["failed"] == 1
+    # The engine never predicts: its report has no predicted block.
+    assert "predicted" not in engine
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_cli_json_embeds_engine_report(tmp_path, capsys):

@@ -1,5 +1,4 @@
-"""The repro-analyze CLI, the engine's predicted block, and served
-results that carry none."""
+"""The repro-analyze CLI, and served results that carry no prediction."""
 
 import dataclasses
 import json
@@ -52,40 +51,22 @@ def test_analyze_validate_gate_passes(capsys):
 def test_analyze_catches_unsound_predictor(monkeypatch, capsys):
     import repro.lint.validate as validate
 
-    honest = validate.predict_prepared
+    honest = validate.predict_spec
 
-    def doctored(*args, **kwargs):
-        return dataclasses.replace(honest(*args, **kwargs), run_max=1)
+    def doctored(spec):
+        return dataclasses.replace(honest(spec), run_max=1)
 
-    monkeypatch.setattr(validate, "predict_prepared", doctored)
+    monkeypatch.setattr(validate, "predict_spec", doctored)
     assert main(["sieve", "--model", "sol", "--validate"]) == 1
     assert "predict-run-max" in capsys.readouterr().err
 
 
-# -- predicted blocks in the engine and the serve layer ----------------------
-
-
-def test_engine_report_carries_predictions():
-    from repro.engine import Engine, RunSpec
-
-    engine = Engine()
-    try:
-        spec = RunSpec(app="sieve", model="explicit-switch", processors=2,
-                       level=2, scale="tiny")
-        engine.run_many([spec])
-        predicted = engine.report()["predicted"]
-        assert spec.label() in predicted
-        block = predicted[spec.label()]
-        assert block["model"] == "explicit-switch"
-        assert block["run_min"] >= 1
-        assert block["switch_min"] >= 0
-    finally:
-        engine.close()
+# -- the serve layer ------------------------------------------------------------
 
 
 def test_served_results_carry_no_prediction(monkeypatch):
     """Nothing reads a per-result prediction, so the scheduler runs no
-    predictor while serving; ``/healthz`` still reports the engine's."""
+    predictor while serving; only ``/healthz`` predicts, a bounded sample."""
     from repro.engine import Engine, RunSpec
     from repro.serve import JobScheduler
 

@@ -117,7 +117,7 @@ def test_engine_counts_executions_per_backend():
     ]
     with Engine(backend="compiled") as engine:
         engine.run_many(specs)
-        report = engine.report()
+        report = engine.counters()
         summary = engine.summary_line()
     assert report["executed"] == 2
     assert report["executed_by_backend"] == {"compiled": 1, "interpreter": 1}
@@ -133,10 +133,10 @@ def test_cache_entries_are_shared_across_backends(tmp_path):
                    level=2, scale="tiny")
     with Engine(cache=str(tmp_path), backend="interpreter") as warm:
         first = warm.run(spec)
-        assert warm.report()["executed_by_backend"] == {"interpreter": 1}
+        assert warm.counters()["executed_by_backend"] == {"interpreter": 1}
     with Engine(cache=str(tmp_path), backend="compiled") as engine:
         second = engine.run(spec)
-        report = engine.report()
+        report = engine.counters()
     assert report["executed"] == 0 and report["cached"] == 1
     assert second.stats.to_dict() == first.stats.to_dict()
 

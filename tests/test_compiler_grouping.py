@@ -173,8 +173,10 @@ def test_strip_switches_suffix_rename_and_legacy_alias():
 
 def test_suffix_rename_left_cache_keys_unchanged():
     """Program names are cosmetic: neither the spec key nor the machine
-    config key may move when the stripped-code suffix changes.  These
-    hashes were recorded *before* the rename."""
+    config key may move when the stripped-code suffix changes.  The spec
+    key, which the result cache uses, was recorded *before* the rename.
+    The config key hashes every config field, so it was re-recorded when
+    ``oracle_line_words`` and ``record_timeline`` left the config."""
     from repro.engine import RunSpec
     from repro.machine import MachineConfig, SwitchModel
 
@@ -183,7 +185,7 @@ def test_suffix_rename_left_cache_keys_unchanged():
     assert spec.key() == "225330b90f6c27ab2d4cd00c77c47b0b"
     config = MachineConfig(model=SwitchModel.SWITCH_ON_USE,
                            num_processors=2, threads_per_processor=4)
-    assert config.config_key() == "252b9b54c2dd8277"
+    assert config.config_key() == "f98d12e970046511"
 
 
 def test_prepare_for_model_mapping():

@@ -61,12 +61,12 @@ def test_engine_serves_second_run_from_cache(tmp_path):
     spec = _spec()
     with Engine(cache=ResultCache(tmp_path, version="v1")) as first:
         live = first.run(spec)
-        assert first.report()["executed"] == 1
+        assert first.counters()["executed"] == 1
     # A brand-new engine (fresh memo) on the same cache directory: the
     # run is restored from disk, nothing is simulated.
     with Engine(cache=ResultCache(tmp_path, version="v1")) as second:
         restored = second.run(spec)
-        report = second.report()
+        report = second.counters()
     assert report["executed"] == 0 and report["cached"] == 1
     assert report["cache_fraction"] == 1.0
     assert restored.wall_cycles == live.wall_cycles
@@ -90,4 +90,4 @@ def test_engine_memoises_within_process(tmp_path):
         first = engine.run(spec)
         second = engine.run(spec)
         assert first is second
-        assert engine.report()["memo_hits"] == 1
+        assert engine.counters()["memo_hits"] == 1

@@ -37,7 +37,7 @@ def test_results_follow_input_order_and_dedupe():
     doubled = specs + list(reversed(specs))  # duplicates in shuffled order
     with Engine(workers=2) as engine:
         results = engine.run_many(doubled)
-        report = engine.report()
+        report = engine.counters()
     assert report["executed"] == len(specs)  # duplicates executed once
     for spec, result in zip(doubled, results):
         assert result.config.num_processors == spec.processors
@@ -63,7 +63,7 @@ def test_duplicate_specs_write_cache_once(tmp_path):
     cache = CountingCache(tmp_path / "cache")
     with Engine(workers=2, cache=cache) as engine:
         results = engine.run_many(copies)
-        report = engine.report()
+        report = engine.counters()
     assert cache.puts == 1
     assert report["executed"] == 1
     assert report["deduped"] == 3
@@ -96,7 +96,7 @@ def test_parallel_table2_rendering_matches_serial():
 def test_prefetch_is_noop_on_serial_context():
     with ExperimentContext(scale="tiny", processors=2) as ctx:
         ctx.prefetch(_sweep_specs())
-        assert ctx.engine.report()["completed"] == 0
+        assert ctx.engine.counters()["completed"] == 0
 
 
 def test_failures_are_recorded_and_reraised():

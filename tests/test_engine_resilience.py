@@ -162,7 +162,7 @@ def test_sweep_survives_worker_killed_mid_flight(tmp_path, monkeypatch):
         results = engine.run_many(specs)
         assert os.path.exists(_KILL_MARKER)  # the kill really happened
         assert [r.wall_cycles for r in results] == expected
-        assert engine.report()["failed"] == 0
+        assert engine.counters()["failed"] == 0
 
 
 def test_serial_drain_after_pool_declared_broken():
@@ -190,7 +190,7 @@ def test_corrupt_cache_entry_is_quarantined_and_rerun(tmp_path):
     fresh_cache = ResultCache(tmp_path, version="v1")
     with Engine(cache=fresh_cache) as engine:
         again = engine.run(spec)  # corrupt entry reads as a miss -> re-run
-        report = engine.report()
+        report = engine.counters()
         summary = engine.summary_line()
     assert again.wall_cycles == first.wall_cycles
     assert fresh_cache.quarantined == 1
@@ -247,57 +247,3 @@ def test_failed_run_keeps_its_run_span():
     assert simulate.status == "error" and build.status == "ok"
     assert run.parent_id == simulate.span_id and run.status == "error"
     assert simulate.start <= run.start <= run.end <= simulate.end
-
-
-def test_predicted_tolerates_keys_recorded_mid_loop(monkeypatch):
-    """``/healthz`` calls ``predicted()`` while the serve scheduler thread
-    records keys; a key added during the loop must not abort it."""
-    engine = Engine(workers=1)
-    first = RunSpec(app="sieve", model="ideal", processors=2, level=1,
-                    scale="tiny")
-    late = RunSpec(app="sor", model="ideal", processors=2, level=1,
-                   scale="tiny")
-    engine._record_predict_key(first)
-
-    class _Prediction:
-        def to_dict(self):
-            return {"stub": True}
-
-    def _predict_and_record(*key):
-        engine._record_predict_key(late)
-        return _Prediction()
-
-    monkeypatch.setattr("repro.lint.predict_spec_cached", _predict_and_record)
-    assert engine.predicted() == {first.label(): {"stub": True}}
-    assert late.label() in engine.predicted()
-
-
-def test_reading_the_counters_runs_no_prediction(monkeypatch):
-    """``summary_line()`` and the ``/metrics`` body read only the
-    engine's counters; ``report()`` (``--json``, ``/healthz``) still
-    predicts every program the engine has seen."""
-    from repro.serve import JobScheduler
-
-    engine = Engine(workers=1)
-    engine.run(RunSpec(app="sieve", model="ideal", processors=2, level=1,
-                       scale="tiny"))
-    scheduler = JobScheduler(engine)
-    calls = []
-
-    class _Prediction:
-        def to_dict(self):
-            return {"stub": True}
-
-    def _count(*key):
-        calls.append(key)
-        return _Prediction()
-
-    monkeypatch.setattr("repro.lint.predict_spec_cached", _count)
-    try:
-        engine.summary_line()
-        scheduler.metrics_text()
-        assert calls == []
-        assert engine.report()["predicted"]
-        assert len(calls) == 1
-    finally:
-        scheduler.stop()

@@ -52,18 +52,18 @@ def test_lint_and_predict_reuse_the_engine_build():
     both hit the entry the run left in the engine's build cache."""
     from repro.engine import Engine, RunSpec
     from repro.engine.executor import _build
-    from repro.lint import lint_spec, predict_spec_cached
+    from repro.lint import lint_spec, predict_spec, predict_spec_cached
 
     spec = RunSpec(app="sor", model="switch-on-load", processors=2,
                    level=3, scale="tiny")
     with Engine() as engine:
         engine.run(spec)
-        [key] = engine._predict_keys
     lint_spec_cached.cache_clear()
+    predict_spec_cached.cache_clear()
     before = _build.cache_info()
     lint_spec(spec)
     after = _build.cache_info()
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
-    predict_spec_cached.__wrapped__(*key)
+    predict_spec(spec)
     final = _build.cache_info()
     assert (final.hits - after.hits, final.misses - after.misses) == (1, 0)

@@ -9,25 +9,14 @@ harness (``tests/test_synth_fuzz.py``).
 import dataclasses
 
 import repro.lint.validate as validate
-from repro.apps.registry import get_app
-from repro.harness.sizes import sizes_for
 from repro.lint import predict_spec_cached
-from repro.lint.validate import (
-    check_cell,
-    prediction_violations,
-    validate_apps,
-)
+from repro.lint.validate import prediction_violations, validate_apps
 
 MODELS = [
     "ideal", "switch-every-cycle", "switch-on-load", "switch-on-use",
     "explicit-switch", "switch-on-miss", "switch-on-use-miss",
     "conditional-switch",
 ]
-
-
-def build(name, nthreads=4, scale="tiny"):
-    spec = get_app(name)
-    return spec.build(nthreads, **sizes_for(name, scale))
 
 
 def test_validate_apps_slice_is_sound():
@@ -47,22 +36,27 @@ def test_validate_apps_slice_is_sound():
 
 
 def test_check_cell_reports_measured_and_predicted():
-    cell = check_cell(build("sieve"), "explicit-switch", latency=64)
-    assert cell["model"] == "explicit-switch"
+    """A one-cell grid carries both sides of the comparison."""
+    summary = validate_apps(apps=["sieve"], models=["explicit-switch"],
+                            latency=64)
+    [cell] = summary["cells"]
+    assert (cell["app"], cell["model"]) == ("sieve", "explicit-switch")
     assert cell["lint_clean"] is True
     assert cell["violations"] == []
     assert cell["measured"]["switches"] >= cell["predicted"]["switch_min"]
 
 
 def test_check_cell_catches_a_doctored_run_bound(monkeypatch):
-    honest = validate.predict_prepared
+    honest = validate.predict_spec
     monkeypatch.setattr(
-        validate, "predict_prepared",
-        lambda *a, **k: dataclasses.replace(honest(*a, **k), run_max=1),
+        validate, "predict_spec",
+        lambda spec: dataclasses.replace(honest(spec), run_max=1),
     )
-    cell = check_cell(build("sieve"), "switch-on-load", latency=200)
+    summary = validate_apps(apps=["sieve"], models=["switch-on-load"])
+    [cell] = summary["cells"]
     invariants = {v["invariant"] for v in cell["violations"]}
     assert "predict-run-max" in invariants
+    assert not summary["ok"]
 
 
 def test_prediction_violations_vacuous_when_threads_hang():

@@ -4,16 +4,14 @@ import json
 
 import pytest
 
-from repro.machine import MachineConfig, Simulator, SwitchModel
+from repro.machine import SwitchModel
 from repro.obs import (
     Counter,
     EventKind,
     Histogram,
     MetricsRegistry,
-    NullTracer,
     RingBuffer,
     RingTracer,
-    TimelineTracer,
     TraceEvent,
     Tracer,
     bursts,
@@ -116,16 +114,6 @@ def test_ring_buffer_unbounded_and_validation():
 # -- tracers wired into the machine -------------------------------------------
 
 
-def test_disabled_tracer_is_dropped_at_construction():
-    from repro.isa import assemble
-
-    sim = Simulator(
-        assemble(WORKLOAD), MachineConfig(), [0] * 16, [{}], tracer=NullTracer()
-    )
-    assert sim.tracer is None
-    assert sim.timeline is None
-
-
 def test_ring_tracer_records_machine_events():
     tracer = RingTracer()
     result = run_asm(
@@ -154,8 +142,7 @@ def test_ring_tracer_records_machine_events():
     }
     completed = [e.data[0] for e in events if e.kind is EventKind.MEM_COMPLETE]
     assert sorted(completed) == sorted(issued)
-    # Burst view of the stream equals the classic timeline tuples.
-    assert list(bursts(events)) == tracer.burst_tuples()
+    # The stream's bursts cover every busy cycle.
     total = sum(end - start for start, _p, _t, end, _o in bursts(events))
     assert total == result.stats.busy_cycles
 
@@ -169,25 +156,8 @@ def test_tracing_does_not_change_simulation():
     assert traced.stats.to_dict() == plain.stats.to_dict()
 
 
-def test_timeline_tracer_matches_record_timeline():
-    tracer = TimelineTracer()
-    run_asm(WORKLOAD, model=SwitchModel.SWITCH_ON_LOAD, threads=2, tracer=tracer)
-    from repro.isa import assemble
-
-    config = MachineConfig(
-        model=SwitchModel.SWITCH_ON_LOAD,
-        threads_per_processor=2,
-        latency=200,
-        record_timeline=True,
-    )
-    sim = Simulator(assemble(WORKLOAD), config, [0] * 64, [{4: 0, 5: 2}, {4: 1, 5: 2}])
-    sim.run()
-    assert tracer.burst_tuples() == sim.timeline
-
-
 def test_base_tracer_is_noop():
     tracer = Tracer()
-    assert tracer.enabled
     tracer.instr(0, 0, 0, 0, 0)
     tracer.burst(0, 0, 0, 1, 0)
     assert tracer.mem_issue(0, 0, 0, "READ", 0, 200) == 0
@@ -358,7 +328,7 @@ def test_engine_writes_runlog(tmp_path):
                           level=2, scale="tiny")
     with Engine(cache=tmp_path / "cache") as engine:
         engine.run(spec)
-        report = engine.report()
+        report = engine.counters()
     assert report["runlog"] == str(tmp_path / "cache" / "runlog.jsonl")
     assert report["peak_rss_kb"] == peak_rss_kb() or report["peak_rss_kb"] is None
     # A second engine resolves from disk and logs a cached entry.

@@ -12,11 +12,9 @@ from repro.obs.spans import (
     STAGE_FLOOR,
     STAGE_HISTOGRAM,
     WALL_CLOCK_PID,
-    NullSpanRecorder,
     Span,
     SpanContext,
     SpanRecorder,
-    active,
     merge_chrome_traces,
     new_span_id,
     new_trace_id,
@@ -91,13 +89,6 @@ def test_child_span_inherits_trace_via_any_parent_shape():
 
 
 # -- recorder contract ----------------------------------------------------------
-
-
-def test_active_normalises_disabled_recorders_to_none():
-    assert active(None) is None
-    assert active(NullSpanRecorder()) is None
-    recorder = SpanRecorder()
-    assert active(recorder) is recorder
 
 
 def test_span_contextmanager_marks_errors():

@@ -109,7 +109,7 @@ def test_four_concurrent_clients_one_engine_run(server, client):
     assert sorted(a["coalesced"] for a in accepted) == [False, True, True, True]
     results = [client.result(a, timeout=120.0) for a in accepted]
     assert all(result == results[0] for result in results)
-    assert server.engine.report()["executed"] == 1  # exactly one execution
+    assert server.engine.counters()["executed"] == 1  # exactly one execution
     metrics = client.metrics()
     assert "serve_jobs_coalesced_total 3" in metrics
     assert "serve_engine_executed_total 1" in metrics
@@ -192,7 +192,7 @@ def test_restart_reserves_finished_job_without_recompute(tmp_path):
         first_client = Client(first.url)
         accepted = first_client.submit(spec)
         original = first_client.result(accepted, timeout=120.0)
-        assert first.engine.report()["executed"] == 1
+        assert first.engine.counters()["executed"] == 1
 
     with ReproServer(config) as second:
         assert second.recovered == 1
@@ -200,7 +200,7 @@ def test_restart_reserves_finished_job_without_recompute(tmp_path):
         status = second_client.wait(accepted["job"], timeout=60.0)
         assert status["state"] == "done"
         assert second_client.result(accepted["job"]) == original
-        report = second.engine.report()
+        report = second.engine.counters()
         assert report["executed"] == 0  # nothing recomputed
         assert report["cached"] == 1    # re-served from the disk cache
         # And a resubmission of the same spec coalesces onto the
@@ -559,6 +559,33 @@ def test_healthz_shape(client):
     assert health["status"] == "ok"
     assert "uptime" in health and "engine" in health
     assert health["engine"]["workers"] == 1
+
+
+def test_healthz_predicts_a_bounded_sample_of_recent_specs(server, client):
+    """``/healthz`` predicts the specs of at most ``HEALTH_PREDICTIONS``
+    labels, all from the most recent jobs, and a repeated scrape runs
+    no uncached prediction."""
+    from repro.lint import predict_spec_cached
+    from repro.serve.server import HEALTH_PREDICTIONS
+
+    per_job = 8
+    jobs = [
+        [
+            RunSpec(app="sieve", model="switch-on-load", scale="tiny",
+                    latency=2 * (per_job * job + index))
+            for index in range(per_job)
+        ]
+        for job in range(HEALTH_PREDICTIONS // per_job + 1)
+    ]
+    for specs in jobs:
+        client.result(client.submit(specs), timeout=120.0)
+    recent = [spec.label() for specs in jobs[1:] for spec in specs]
+    assert len(recent) == HEALTH_PREDICTIONS
+    predicted = client.health()["engine"]["predicted"]
+    assert set(predicted) == set(recent)
+    before = predict_spec_cached.cache_info()
+    assert client.health()["engine"]["predicted"] == predicted
+    assert predict_spec_cached.cache_info().misses == before.misses
 
 
 def test_metrics_endpoint_is_prometheus_text(server, client):

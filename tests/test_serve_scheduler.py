@@ -263,7 +263,7 @@ def test_recover_reserves_from_cache_without_recompute(tmp_path):
     job, _ = first.submit([spec])
     assert job.wait(60.0) and job.state is JobState.DONE
     original = job.results
-    assert first.engine.report()["executed"] == 1
+    assert first.engine.counters()["executed"] == 1
     first.stop()
 
     second = JobScheduler(Engine(workers=1, cache=str(cache)), journal=journal)
@@ -273,7 +273,7 @@ def test_recover_reserves_from_cache_without_recompute(tmp_path):
     assert restored.wait(60.0)
     assert restored.state is JobState.DONE
     assert restored.results == original          # byte-identical payloads
-    report = second.engine.report()
+    report = second.engine.counters()
     assert report["executed"] == 0               # nothing recomputed
     assert report["cached"] == 1
     assert second.metrics.counter("serve.jobs.recovered").value == 1

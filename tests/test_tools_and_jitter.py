@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.isa import assemble
 from repro.machine import MachineConfig, SwitchModel, Simulator
+from repro.obs import EventKind, RingTracer, TraceEvent, bursts
 from repro.tools import render_timeline, timeline_summary
 from sim_helpers import run_asm
 
@@ -17,67 +19,56 @@ loop:
 """
 
 
-def run_with_timeline(threads=2, processors=1):
-    return run_asm(
-        WORKLOAD,
-        model=SwitchModel.SWITCH_ON_LOAD,
-        threads=threads,
-        processors=processors,
-        latency=200,
-        record_timeline=True,
+def traced(config, threads):
+    """Run the workload on *config* with a tracer; returns (sim, events)."""
+    tracer = RingTracer(capacity=None)
+    sim = Simulator(
+        assemble(WORKLOAD), config, [0] * 16, [{}] * threads, tracer=tracer
     )
+    sim.run()
+    return sim, tracer.events()
 
 
 def test_timeline_disabled_by_default():
-    result = run_asm(WORKLOAD, model=SwitchModel.SWITCH_ON_LOAD, latency=200)
-    # SimulationResult has no timeline attribute; check via a fresh sim.
-    from repro.isa import assemble
-
+    """Bursts are recorded only by a tracer the caller attaches."""
     sim = Simulator(
         assemble(WORKLOAD), MachineConfig(), [0] * 16, [{}]
     )
-    assert sim.timeline is None
+    assert sim.tracer is None
 
 
 def test_timeline_events_recorded():
-    from repro.isa import assemble
-
     config = MachineConfig(
         model=SwitchModel.SWITCH_ON_LOAD,
         threads_per_processor=2,
         latency=200,
-        record_timeline=True,
     )
-    sim = Simulator(assemble(WORKLOAD), config, [0] * 16, [{}, {}])
-    sim.run()
-    assert sim.timeline
-    for start, pid, tid, end, outcome in sim.timeline:
+    sim, events = traced(config, 2)
+    timeline = list(bursts(events))
+    assert timeline
+    for start, pid, tid, end, outcome in timeline:
         assert 0 <= start <= end
         assert pid == 0
         assert tid in (0, 1)
     # Busy cycles in the timeline match the stats.
-    total = sum(end - start for start, _p, _t, end, _o in sim.timeline)
+    total = sum(end - start for start, _p, _t, end, _o in timeline)
     assert total == sim.stats.busy_cycles
 
 
 def test_render_timeline_shape():
-    from repro.isa import assemble
-
     config = MachineConfig(
         model=SwitchModel.SWITCH_ON_LOAD,
         num_processors=2,
         threads_per_processor=1,
         latency=200,
-        record_timeline=True,
     )
-    sim = Simulator(assemble(WORKLOAD), config, [0] * 16, [{}, {}])
-    sim.run()
-    text = render_timeline(sim.timeline, 2, width=40)
+    _sim, events = traced(config, 2)
+    text = render_timeline(events, 2, width=40)
     lines = text.splitlines()
     assert lines[1].startswith("P0: ")
     assert lines[2].startswith("P1: ")
     assert len(lines[1]) == len("P0: ") + 40
-    summary = timeline_summary(sim.timeline, 2)
+    summary = timeline_summary(events, 2)
     assert summary[0] and summary[1]
 
 
@@ -89,34 +80,34 @@ def test_degenerate_burst_never_marks_past_horizon():
     """Regression: a zero-length burst at the horizon used to be clamped
     to the horizon first, then widened to one cycle — marking a bucket
     *past* ``until``."""
+    def burst(start, tid, end, outcome=0):
+        return TraceEvent(start, EventKind.BURST, 0, tid, (end, outcome))
+
     events = [
-        (0, 0, 0, 100, 0),
-        (100, 0, 1, 100, 3),  # zero-length burst exactly at the horizon
+        burst(0, 0, 100),
+        burst(100, 1, 100, 3),  # zero-length burst exactly at the horizon
     ]
     text = render_timeline(events, 1, width=10, until=100)
     row = text.splitlines()[1][len("P0: "):]
     assert row == "0" * 10  # thread 1's mark must not appear anywhere
     # A degenerate burst *inside* the horizon still shows up as one cycle.
-    inside = render_timeline([(5, 0, 7, 5, 0)], 1, width=10, until=10)
+    inside = render_timeline([burst(5, 7, 5)], 1, width=10, until=10)
     assert "7" in inside.splitlines()[1]
 
 
 def test_timeline_accepts_trace_events():
-    """The ASCII timeline is a view over the obs event stream."""
-    from repro.machine import Simulator
-    from repro.isa import assemble
-    from repro.obs import RingTracer
-
-    tracer = RingTracer()
+    """The ASCII timeline is a view over the obs event stream: it reads
+    the BURST events and skips every other kind."""
     config = MachineConfig(
         model=SwitchModel.SWITCH_ON_LOAD, threads_per_processor=2, latency=200
     )
-    sim = Simulator(assemble(WORKLOAD), config, [0] * 64, [{}, {}], tracer=tracer)
-    sim.run()
-    from_events = render_timeline(tracer.events(), 1, width=40)
-    from_tuples = render_timeline(sim.timeline, 1, width=40)
-    assert from_events == from_tuples
-    assert timeline_summary(tracer.events(), 1) == timeline_summary(sim.timeline, 1)
+    _sim, events = traced(config, 2)
+    only_bursts = [event for event in events if event.kind is EventKind.BURST]
+    assert len(only_bursts) < len(events)
+    assert render_timeline(events, 1, width=40) == render_timeline(
+        only_bursts, 1, width=40
+    )
+    assert timeline_summary(events, 1) == timeline_summary(only_bursts, 1)
 
 
 # -- jitter ----------------------------------------------------------------------
